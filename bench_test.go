@@ -7,6 +7,7 @@ package gpulitmus
 // -runs 100000 for paper-scale regeneration.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -177,7 +178,7 @@ func benchModelAnalysis(b *testing.B, parallelism int) {
 	for i := 0; i < b.N; i++ {
 		memo := campaign.NewMemo()
 		if err := campaign.ForEach(len(tests), parallelism, func(j int) error {
-			_, err := memo.Analyse(m, tests[j])
+			_, err := memo.Analyse(context.Background(), m, tests[j], core.Opts{Parallelism: 1})
 			return err
 		}); err != nil {
 			b.Fatal(err)

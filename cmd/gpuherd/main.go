@@ -95,12 +95,7 @@ func run(argv []string, w io.Writer) error {
 		if ok, reason := gpulitmus.ModelCovers(test); !ok && *modelName == "ptx" {
 			fmt.Fprintf(w, "Test %s: outside the model's documented scope (%s); verdict is advisory\n", test.Name, reason)
 		}
-		var v *gpulitmus.Verdict
-		if *static {
-			v, err = memo.VerdictStaticCtxP(ctx, model, test, *par)
-		} else {
-			v, err = memo.VerdictCtxP(ctx, model, test, *par)
-		}
+		v, err := memo.Verdict(ctx, model, test, gpulitmus.Opts{Parallelism: *par, Static: *static})
 		if err != nil {
 			return err
 		}

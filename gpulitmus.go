@@ -73,6 +73,10 @@ type (
 	Model = core.Model
 	// Verdict is a model's decision on a test's final condition.
 	Verdict = core.Verdict
+	// Opts selects how a verdict operation runs — parallelism, the
+	// static prefilter, enumeration bounds; the zero value is the default.
+	// Memo's Verdict, Analyse and Repair take it.
+	Opts = core.Opts
 	// App is an end-to-end application study of Sec. 3.2.
 	App = apps.App
 	// CompileOptions configure the SASS compiler substrate (Sec. 4.4).
@@ -275,7 +279,7 @@ func JudgeUnder(m *Model, t *Test) (*Verdict, error) { return core.Judge(m, t) }
 // forces serial, n > 1 forces n workers. Verdicts are identical for every
 // choice.
 func JudgeUnderP(m *Model, t *Test, parallelism int) (*Verdict, error) {
-	return core.JudgeP(m, t, parallelism)
+	return core.JudgeWith(context.Background(), m, t, Opts{Parallelism: parallelism})
 }
 
 // ModelCovers reports whether the test is within the PTX model's documented
@@ -291,11 +295,13 @@ func Analyze(t *Test) *AnalysisReport { return analysis.Analyze(t) }
 // enumerating. The soundness contract: StaticForbidden and StaticAllowed
 // agree with the full Judge verdict (Witnesses == 0 / > 0 respectively);
 // StaticUnknown means the analysis cannot decide and is always safe.
-func StaticPrefilter(m *Model, t *Test) StaticResult { return m.Prefilter(t) }
+func StaticPrefilter(m *Model, t *Test) StaticResult { return analysis.Prefilter(t, m.Policy()) }
 
 // JudgeStatic is JudgeUnder with the static prefilter in front: decided
 // verdicts skip enumeration entirely and carry Verdict.StaticSkipped.
-func JudgeStatic(m *Model, t *Test) (*Verdict, error) { return core.JudgeStatic(m, t) }
+func JudgeStatic(m *Model, t *Test) (*Verdict, error) {
+	return core.JudgeWith(context.Background(), m, t, Opts{Static: true})
+}
 
 // RepairTest synthesizes the minimal set of fence insertions or
 // strengthenings that makes the test's exists-condition Never under the
@@ -303,10 +309,12 @@ func JudgeStatic(m *Model, t *Test) (*Verdict, error) { return core.JudgeStatic(
 // test through the litmus insertion API and are re-judged until the
 // behaviour is forbidden, then greedily reduced so no single edit is
 // removable. Deterministic for a given test and model.
-func RepairTest(t *Test) (*RepairResult, error) { return core.Repair(core.PTX(), t) }
+func RepairTest(t *Test) (*RepairResult, error) { return RepairUnder(core.PTX(), t) }
 
 // RepairUnder is RepairTest under an explicit model.
-func RepairUnder(m *Model, t *Test) (*RepairResult, error) { return core.Repair(m, t) }
+func RepairUnder(m *Model, t *Test) (*RepairResult, error) {
+	return core.Repair(context.Background(), m, t, Opts{})
+}
 
 // NewMemo returns an empty content-addressed verdict/analysis memo (see
 // Memo); long-lived callers judging overlapping test sets share one.
@@ -350,7 +358,7 @@ func NewTrace(id string) *Trace {
 }
 
 // WithTrace attaches tr to ctx; pipeline stages invoked under the
-// returned context (JudgeCtx paths, Memo.VerdictCtxP, ParseTestCtx)
+// returned context (Memo.Verdict, Memo.Analyse, Memo.Repair, ParseTestCtx)
 // record their phases into it.
 func WithTrace(ctx context.Context, tr *Trace) context.Context {
 	return obs.NewContext(ctx, tr)

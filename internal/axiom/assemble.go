@@ -52,6 +52,15 @@ type Assembler struct {
 	used    []bool
 	usedCnt []int
 	mult    int
+
+	// The skeleton currently built into the Assembler: combination
+	// skelCombo of skelOf. Streaming that combination again — after
+	// ComboChunks probed it, or chunk after chunk — reuses it instead of
+	// building it once more.
+	skelOf    *Enumeration
+	skelCombo int
+	skel      comboState
+	skelOK    bool
 }
 
 func resizeInts(s []int, n int) []int {
@@ -87,8 +96,7 @@ func (en *Enumeration) StreamCombo(combo int, a *Assembler, emit func(*Execution
 		emit, flush = en.traceEmit(emit)
 		defer flush()
 	}
-	en.decodeCombo(combo, a)
-	cs, ok := en.buildSkeleton(a)
+	cs, ok := en.skeleton(combo, a)
 	if !ok {
 		return nil // some read's value is unjustifiable: no execution from this combo
 	}
@@ -136,6 +144,17 @@ func (en *Enumeration) traceSkeleton(a *Assembler) {
 	tr.Add(obs.CtrRFChoices, rf)
 }
 
+// skeleton returns combination combo's skeleton, building it into a
+// unless a already holds it.
+func (en *Enumeration) skeleton(combo int, a *Assembler) (comboState, bool) {
+	if a.skelOf != en || a.skelCombo != combo {
+		en.decodeCombo(combo, a)
+		a.skel, a.skelOK = en.buildSkeleton(a)
+		a.skelOf, a.skelCombo = en, combo
+	}
+	return a.skel, a.skelOK
+}
+
 // decodeCombo writes the per-thread path choices of combination combo into
 // a.pick (thread 0's choice is the most significant digit).
 func (en *Enumeration) decodeCombo(combo int, a *Assembler) {
@@ -156,13 +175,14 @@ func (en *Enumeration) decodeCombo(combo int, a *Assembler) {
 // Dead combinations (a read with no source) report zero chunks;
 // combinations with no rf choices report one. Chunk indices [0, chunks)
 // passed to StreamComboChunk reproduce StreamCombo(combo) exactly, in
-// order. The Assembler is scratch, as in StreamCombo.
+// order. The Assembler is scratch, as in StreamCombo; it keeps the
+// skeleton, so streaming the combination next on the same Assembler does
+// not build it again.
 func (en *Enumeration) ComboChunks(combo int, a *Assembler) (chunks, estimate int) {
 	if combo < 0 || combo >= en.combos {
 		return 0, 0
 	}
-	en.decodeCombo(combo, a)
-	if _, ok := en.buildSkeleton(a); !ok {
+	if _, ok := en.skeleton(combo, a); !ok {
 		return 0, 0
 	}
 	estimate = 1
@@ -184,7 +204,7 @@ func (en *Enumeration) ComboChunks(combo int, a *Assembler) (chunks, estimate in
 // byte for byte — the chunk split follows the first choice's source order,
 // the outermost digit of the rf cross product — which is what lets a
 // single-combination test with a huge rf/co space fan out across workers
-// on an order-exact merge (see internal/core's chunked driver). Under
+// on an order-exact merge (see internal/core's verdict stream). Under
 // pruning, a chunk whose leading source is a non-canonical class member is
 // empty: its completions are accounted for by a canonical chunk's weights.
 func (en *Enumeration) StreamComboChunk(combo, chunk int, a *Assembler, emit func(*Execution) error) error {
@@ -196,15 +216,14 @@ func (en *Enumeration) StreamComboChunk(combo, chunk int, a *Assembler, emit fun
 		emit, flush = en.traceEmit(emit)
 		defer flush()
 	}
-	en.decodeCombo(combo, a)
-	cs, ok := en.buildSkeleton(a)
+	cs, ok := en.skeleton(combo, a)
 	if !ok {
 		return nil // dead combination: every chunk is empty
 	}
 	if chunk == 0 {
-		// The skeleton is rebuilt per chunk; count the combination and its
-		// rf choices once, on the first chunk, so chunked production
-		// reports the same ledger as StreamCombo.
+		// Count the combination and its rf choices once, on the first
+		// chunk, so chunked production reports the same ledger as
+		// StreamCombo.
 		en.traceSkeleton(a)
 	}
 	if len(a.choices) == 0 {

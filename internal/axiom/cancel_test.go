@@ -8,11 +8,21 @@ import (
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
 
-func TestEnumerateStreamCtxCancelledUpFront(t *testing.T) {
+// prepareStream is the production path: PrepareCtx, then StreamCtx, both
+// under ctx.
+func prepareStream(ctx context.Context, test *litmus.Test, yield func(*Execution) error) error {
+	en, err := PrepareCtx(ctx, test, DefaultOpts())
+	if err != nil {
+		return err
+	}
+	return en.StreamCtx(ctx, yield)
+}
+
+func TestPrepareCtxStreamCancelledUpFront(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	yields := 0
-	err := EnumerateStreamCtx(ctx, litmus.CoRR(), DefaultOpts(), func(*Execution) error {
+	err := prepareStream(ctx, litmus.CoRR(), func(*Execution) error {
 		yields++
 		return nil
 	})
@@ -24,10 +34,10 @@ func TestEnumerateStreamCtxCancelledUpFront(t *testing.T) {
 	}
 }
 
-func TestEnumerateStreamCtxCancelMidStream(t *testing.T) {
+func TestPrepareCtxStreamCancelMidStream(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	yields := 0
-	err := EnumerateStreamCtx(ctx, litmus.SBGlobal(), DefaultOpts(), func(*Execution) error {
+	err := prepareStream(ctx, litmus.SBGlobal(), func(*Execution) error {
 		yields++
 		if yields == 2 {
 			cancel()
@@ -42,13 +52,13 @@ func TestEnumerateStreamCtxCancelMidStream(t *testing.T) {
 	}
 }
 
-func TestEnumerateStreamCtxBackgroundMatchesEnumerate(t *testing.T) {
+func TestPrepareCtxStreamMatchesEnumerate(t *testing.T) {
 	want, err := Enumerate(litmus.CoRR(), DefaultOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := 0
-	if err := EnumerateStreamCtx(context.Background(), litmus.CoRR(), DefaultOpts(), func(*Execution) error {
+	if err := prepareStream(context.Background(), litmus.CoRR(), func(*Execution) error {
 		got++
 		return nil
 	}); err != nil {

@@ -66,44 +66,23 @@ func (o Opts) withDefaults() Opts {
 // for locations written only by atomics (PTX annuls atomic guarantees when
 // plain stores access the same location, Sec. 3.2.3).
 //
-// Enumerate is a thin collector over EnumerateStream; callers that do not
-// need the whole candidate set at once should stream instead.
+// Enumerate materialises the whole candidate set, which only tests want;
+// the verdict pipeline streams instead (Prepare, then StreamCtx or
+// StreamCombo). The executions, their order and the MaxExecs bound are
+// exactly StreamCtx's.
 func Enumerate(t *litmus.Test, opts Opts) ([]*Execution, error) {
+	en, err := Prepare(t, opts)
+	if err != nil {
+		return nil, err
+	}
 	var execs []*Execution
-	if err := EnumerateStream(t, opts, func(x *Execution) error {
+	if err := en.StreamCtx(context.Background(), func(x *Execution) error {
 		execs = append(execs, x)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	return execs, nil
-}
-
-// EnumerateStream enumerates the candidate executions of the test exactly
-// like Enumerate — same executions, same order — but yields each one to the
-// caller as it is assembled instead of materialising the whole set. An
-// error returned by yield aborts the enumeration and is returned verbatim.
-// The opts.MaxExecs bound is enforced exactly and by Weight: the summed
-// weights of yielded executions never exceed MaxExecs, and producing more
-// fails the enumeration with BoundError — the same outcome, on the same
-// total, as the exhaustive enumeration (a representative is yielded only
-// when its whole class fits under the bound).
-func EnumerateStream(t *litmus.Test, opts Opts, yield func(*Execution) error) error {
-	return EnumerateStreamCtx(context.Background(), t, opts, yield)
-}
-
-// EnumerateStreamCtx is EnumerateStream under a context: cancelling ctx
-// aborts the enumeration promptly — between path-enumeration rounds and
-// before each assembled execution is yielded — returning ctx.Err(). A
-// request-scoped context lets a long-lived caller (the gpulitmusd service)
-// stop candidate production mid-stream when the client goes away. For an
-// uncancelled ctx the executions and their order are exactly Enumerate's.
-func EnumerateStreamCtx(ctx context.Context, t *litmus.Test, opts Opts, yield func(*Execution) error) error {
-	en, err := PrepareCtx(ctx, t, opts)
-	if err != nil {
-		return err
-	}
-	return en.StreamCtx(ctx, yield)
 }
 
 // Enumeration is the prepared producer state for one test: the per-thread
@@ -182,10 +161,11 @@ func (en *Enumeration) BoundError() error {
 
 // StreamCtx streams every candidate execution in enumeration order: path
 // combinations ascending, rf/co completions within each combination in
-// their canonical order. The MaxExecs bound is enforced exactly — by
+// their canonical order. An error returned by yield aborts the stream and
+// is returned verbatim. The MaxExecs bound is enforced exactly — by
 // Execution.Weight, so pruned and exhaustive enumerations fail on the same
-// totals — and ctx is checked per combination and per yielded execution.
-// The executions and their order are byte-identical to Enumerate's.
+// totals: a representative is yielded only when its whole class fits under
+// the bound — and ctx is checked per combination and per yielded execution.
 func (en *Enumeration) StreamCtx(ctx context.Context, yield func(*Execution) error) error {
 	var a Assembler
 	count := 0

@@ -1,6 +1,7 @@
 package axiom
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -395,8 +396,12 @@ func TestMaxExecsExactBound(t *testing.T) {
 	if len(all) != 6 {
 		t.Fatalf("co3: %d executions, want 6", len(all))
 	}
+	en, err := Prepare(test, Opts{MaxExecs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	yields := 0
-	err = EnumerateStream(test, Opts{MaxExecs: 4}, func(*Execution) error {
+	err = en.StreamCtx(context.Background(), func(*Execution) error {
 		yields++
 		return nil
 	})
@@ -419,8 +424,12 @@ func TestEnumerateStreamMatchesEnumerate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)
 		}
+		en, err := Prepare(test, DefaultOpts())
+		if err != nil {
+			t.Fatalf("%s: %v", test.Name, err)
+		}
 		i := 0
-		err = EnumerateStream(test, DefaultOpts(), func(x *Execution) error {
+		err = en.StreamCtx(context.Background(), func(x *Execution) error {
 			if i >= len(collected) {
 				t.Fatalf("%s: stream yields more than the %d collected executions", test.Name, len(collected))
 			}
@@ -449,8 +458,12 @@ func TestEnumerateStreamMatchesEnumerate(t *testing.T) {
 
 func TestEnumerateStreamEarlyStop(t *testing.T) {
 	stop := fmt.Errorf("stop after two")
+	en, err := Prepare(litmus.MP(litmus.NoFence), DefaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
 	yields := 0
-	err := EnumerateStream(litmus.MP(litmus.NoFence), DefaultOpts(), func(*Execution) error {
+	err = en.StreamCtx(context.Background(), func(*Execution) error {
 		yields++
 		if yields == 2 {
 			return stop

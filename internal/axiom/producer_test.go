@@ -202,8 +202,8 @@ func TestStreamCtxMaxExecsAcrossCombos(t *testing.T) {
 	}
 }
 
-// TestPreparedStreamCancelMidCombo pins prompt cancellation on the prepared
-// producer, matching EnumerateStreamCtx's guarantee.
+// TestPreparedStreamCancelMidCombo pins prompt cancellation of StreamCtx
+// on an Enumeration prepared without the context.
 func TestPreparedStreamCancelMidCombo(t *testing.T) {
 	en, err := Prepare(litmus.SBGlobal(), DefaultOpts())
 	if err != nil {

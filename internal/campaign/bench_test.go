@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/core"
@@ -24,9 +25,9 @@ func benchMemoCorpus(b *testing.B, static bool) {
 		for _, t := range tests {
 			var err error
 			if static {
-				_, err = mm.VerdictStatic(m, t)
+				_, err = mm.Verdict(context.Background(), m, t, core.Opts{Static: true})
 			} else {
-				_, err = mm.Verdict(m, t)
+				_, err = mm.Verdict(context.Background(), m, t, core.Opts{})
 			}
 			if err != nil {
 				b.Fatal(err)

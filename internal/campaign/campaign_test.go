@@ -260,7 +260,7 @@ func TestMemoComputesOncePerTest(t *testing.T) {
 	// computed entry (pointer-identical) with no duplicated work visible.
 	infos := make([]*ModelInfo, 16)
 	if err := ForEach(16, 8, func(i int) error {
-		info, err := memo.Analyse(m, test)
+		info, err := memo.Analyse(context.Background(), m, test, core.Opts{Parallelism: 1})
 		infos[i] = info
 		return err
 	}); err != nil {
@@ -278,20 +278,20 @@ func TestMemoComputesOncePerTest(t *testing.T) {
 		t.Error("analysis must enumerate candidates and allowed states")
 	}
 
-	v, err := memo.Verdict(m, test)
+	v, err := memo.Verdict(context.Background(), m, test, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.Observable {
 		t.Error("verdict must allow mp")
 	}
-	v2, _ := memo.Verdict(m, test)
+	v2, _ := memo.Verdict(context.Background(), m, test, core.Opts{})
 	if v2 != v {
 		t.Error("verdict must be memoized")
 	}
 
 	// A different model keys a different entry.
-	sc, err := memo.Verdict(core.SC(), test)
+	sc, err := memo.Verdict(context.Background(), core.SC(), test, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +306,11 @@ func TestMemoComputesOncePerTest(t *testing.T) {
 func TestMemoContentAddressed(t *testing.T) {
 	memo := NewMemo()
 
-	a, err := memo.Analyse(core.PTX(), litmus.CoRR())
+	a, err := memo.Analyse(context.Background(), core.PTX(), litmus.CoRR(), core.Opts{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := memo.Analyse(core.PTX(), litmus.CoRR()) // fresh *Model, fresh *Test
+	b, err := memo.Analyse(context.Background(), core.PTX(), litmus.CoRR(), core.Opts{Parallelism: 1}) // fresh *Model, fresh *Test
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestMemoContentAddressed(t *testing.T) {
 
 	renamed := litmus.CoRR()
 	renamed.Name = "corr-under-an-alias"
-	c, err := memo.Analyse(core.PTX(), renamed)
+	c, err := memo.Analyse(context.Background(), core.PTX(), renamed, core.Opts{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,11 +328,11 @@ func TestMemoContentAddressed(t *testing.T) {
 		t.Error("renamed identical test must share the entry (fingerprints ignore names)")
 	}
 
-	v1, err := memo.Verdict(core.PTX(), litmus.CoRR())
+	v1, err := memo.Verdict(context.Background(), core.PTX(), litmus.CoRR(), core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := memo.Verdict(core.PTX(), litmus.CoRR())
+	v2, err := memo.Verdict(context.Background(), core.PTX(), litmus.CoRR(), core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -21,23 +22,35 @@ import (
 // under concurrent first requests (duplicate-suppression via per-entry
 // sync.Once).
 //
-// Entries are content-addressed: the key is the model's source fingerprint
-// plus the test's canonical content fingerprint (litmus.Test.Fingerprint),
-// not pointer identity. Independently constructed but semantically
-// identical tests — litmus.ByName builds a fresh *Test per call, and every
-// service request parses its own — therefore share one computation.
+// Entries are content-addressed: the key is the model's source fingerprint,
+// the test's canonical content fingerprint (litmus.Test.Fingerprint) and
+// the enumeration bounds (core.Opts.Enum), not pointer identity.
+// Independently constructed but semantically identical tests — litmus.ByName
+// builds a fresh *Test per call, and every service request parses its own —
+// therefore share one computation.
+//
+// Every Memo method computes its entry on the first request for it, under
+// that request's ctx and o; later requests for the entry — concurrent ones
+// included — get the memoized result. Results are identical for every
+// o.Parallelism, so only the first requester's is used. Cancellation and
+// obs tracing reach the enumeration only through the computing request's
+// ctx: a joiner's trace records no pipeline phases. Because entries are
+// content-addressed, a memoized Verdict's Test field is the first
+// requester's *Test: a content-identical test under another name receives
+// the original's verdict object (counts and witness are necessarily
+// identical; only the label differs).
 type Memo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*memoEntry
 	// staticSkipped counts verdicts the static prefilter decided without
-	// enumeration (VerdictStatic family): the skip ledger the service's
-	// /v1/stats and /metrics surface.
+	// enumeration (Verdict with Opts.Static).
 	staticSkipped atomic.Int64
 }
 
 type memoKey struct {
-	model string // core.Model.Fingerprint()
-	test  string // litmus.Test.Fingerprint()
+	model string     // core.Model.Fingerprint()
+	test  string     // litmus.Test.Fingerprint()
+	enum  axiom.Opts // core.Opts.Enum: other bounds are another entry
 }
 
 type memoEntry struct {
@@ -51,8 +64,7 @@ type memoEntry struct {
 
 	// Static-prefilter verdicts memoize separately from enumerated ones:
 	// a static verdict carries no candidate counts, so a caller asking for
-	// the full enumeration must not be served a static entry (the reverse
-	// is fine and the static path checks vOnce's result first).
+	// the full enumeration must not be served a static entry.
 	sOnce sync.Once
 	sVerd *core.Verdict
 	sErr  error
@@ -79,78 +91,36 @@ func NewMemo() *Memo {
 	return &Memo{entries: make(map[memoKey]*memoEntry)}
 }
 
-// Analyse returns the memoized model analysis of t under m, computing it on
-// first request: enumerate the candidate executions, filter through the
-// model, and fingerprint the allowed final states with the harness's
-// fingerprint function (so histograms compare directly against Allowed).
-// The per-test verdict stream stays serial: Analyse callers fan out across
-// tests on the campaign pool already (validate.go's phase 1), and nesting a
-// second worker pool per test would oversubscribe it. AnalyseP fans a
-// single test's stream out instead.
-func (mm *Memo) Analyse(m *core.Model, t *litmus.Test) (*ModelInfo, error) {
-	return mm.AnalyseP(m, t, 1)
-}
-
-// AnalyseP is Analyse with an explicit verdict-stream parallelism (see
-// core.Model.ForEachVerdict), for callers analysing one huge test rather
-// than sweeping many. The memoized info is identical for every
-// parallelism; only the first request for an entry computes it, so its
-// parallelism is the one used.
-func (mm *Memo) AnalyseP(m *core.Model, t *litmus.Test, parallelism int) (*ModelInfo, error) {
-	e := mm.entry(m, t)
-	e.once.Do(func() { e.info, e.err = analyse(m, t, parallelism) })
+// Analyse returns the memoized model analysis of t under m: enumerate the
+// candidate executions, filter through the model, and fingerprint the
+// allowed final states with the harness's fingerprint function (so
+// histograms compare directly against Allowed). Campaign callers fanning
+// out across tests on the pool pass o.Parallelism 1, so that no second
+// worker pool nests inside theirs. o.Static is an error: a static decision
+// has no executions to analyse.
+func (mm *Memo) Analyse(ctx context.Context, m *core.Model, t *litmus.Test, o core.Opts) (*ModelInfo, error) {
+	if o.Static {
+		return nil, errors.New("campaign: Analyse needs executions; a static decision has none")
+	}
+	e := mm.entry(m, t, o.Enum)
+	e.once.Do(func() { e.info, e.err = analyse(ctx, m, t, o) })
 	return e.info, e.err
 }
 
 // Verdict returns the memoized herd-style verdict of t under m (exactly
-// core.Judge, computed once per (model, test) content pair).
-func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
-	return mm.VerdictP(m, t, 0)
-}
-
-// VerdictP is Verdict with an explicit evaluation parallelism (see
-// core.JudgeP). Verdicts are identical for every parallelism; only the
-// first request for an entry computes, so its parallelism is the one used.
-// Because entries are content-addressed, the cached Verdict's Test field is
-// the first requester's *Test: a content-identical test under a different
-// name receives the original's verdict object (counts and witness are
-// necessarily identical; only the label differs).
-func (mm *Memo) VerdictP(m *core.Model, t *litmus.Test, parallelism int) (*core.Verdict, error) {
-	return mm.VerdictCtxP(context.Background(), m, t, parallelism)
-}
-
-// VerdictCtxP is VerdictP under a context: cancellation and obs tracing
-// reach the enumeration when this call is the one that computes the
-// entry. Joiners of an already-computed (or in-flight) entry get the
-// memoized verdict; their context's trace records no pipeline phases —
-// the work happened under the first requester's context.
-func (mm *Memo) VerdictCtxP(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (*core.Verdict, error) {
-	e := mm.entry(m, t)
-	e.vOnce.Do(func() { e.verdict, e.vErr = core.JudgeCtx(ctx, m, t, parallelism) })
-	return e.verdict, e.vErr
-}
-
-// VerdictStatic is Verdict with the static prefilter in front: when the
-// prefilter decides, enumeration is skipped (the returned Verdict has
-// StaticSkipped set and zero candidate counts) and the memo's skip
-// counter increments. Static and enumerated verdicts memoize separately,
-// so a later Verdict call still gets full counts.
-func (mm *Memo) VerdictStatic(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
-	return mm.VerdictStaticP(m, t, 0)
-}
-
-// VerdictStaticP is VerdictStatic with an explicit evaluation parallelism
-// for the enumeration fallback.
-func (mm *Memo) VerdictStaticP(m *core.Model, t *litmus.Test, parallelism int) (*core.Verdict, error) {
-	return mm.VerdictStaticCtxP(context.Background(), m, t, parallelism)
-}
-
-// VerdictStaticCtxP is VerdictStaticP under a context, with the same
-// first-requester semantics as VerdictCtxP.
-func (mm *Memo) VerdictStaticCtxP(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (*core.Verdict, error) {
-	e := mm.entry(m, t)
+// core.JudgeWith). With o.Static the static prefilter runs first: a
+// decided verdict skips enumeration (StaticSkipped set, zero candidate
+// counts) and increments the memo's skip counter. Static and enumerated
+// verdicts memoize in separate slots, so a later non-static request still
+// gets full counts.
+func (mm *Memo) Verdict(ctx context.Context, m *core.Model, t *litmus.Test, o core.Opts) (*core.Verdict, error) {
+	e := mm.entry(m, t, o.Enum)
+	if !o.Static {
+		e.vOnce.Do(func() { e.verdict, e.vErr = core.JudgeWith(ctx, m, t, o) })
+		return e.verdict, e.vErr
+	}
 	e.sOnce.Do(func() {
-		e.sVerd, e.sErr = core.JudgeStaticCtx(ctx, m, t, parallelism)
+		e.sVerd, e.sErr = core.JudgeWith(ctx, m, t, o)
 		if e.sErr == nil && e.sVerd.StaticSkipped {
 			mm.staticSkipped.Add(1)
 		}
@@ -163,26 +133,17 @@ func (mm *Memo) VerdictStaticCtxP(ctx context.Context, m *core.Model, t *litmus.
 func (mm *Memo) StaticSkipped() int64 { return mm.staticSkipped.Load() }
 
 // Repair returns the memoized fence-repair synthesis of t under m (exactly
-// core.Repair, computed once per (model, test) content pair): the minimal
-// judge-verified set of membar insertions/strengthenings making the
-// exists-condition Never. A campaign sweeping one broken test over many
-// chips synthesizes its fix exactly once.
-func (mm *Memo) Repair(m *core.Model, t *litmus.Test) (*analysis.RepairResult, error) {
-	return mm.RepairCtx(context.Background(), m, t, 0)
-}
-
-// RepairCtx is Repair under a context with an explicit per-judgement
-// parallelism, with the same first-requester semantics as VerdictCtxP.
-// The synthesis is deterministic for every parallelism; only the first
-// request for an entry computes.
-func (mm *Memo) RepairCtx(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (*analysis.RepairResult, error) {
-	e := mm.entry(m, t)
-	e.rOnce.Do(func() { e.repair, e.rErr = core.RepairCtx(ctx, m, t, parallelism) })
+// core.Repair): the minimal judge-verified set of membar insertions/
+// strengthenings making the exists-condition Never. A campaign sweeping
+// one broken test over many chips synthesizes its fix exactly once.
+func (mm *Memo) Repair(ctx context.Context, m *core.Model, t *litmus.Test, o core.Opts) (*analysis.RepairResult, error) {
+	e := mm.entry(m, t, o.Enum)
+	e.rOnce.Do(func() { e.repair, e.rErr = core.Repair(ctx, m, t, o) })
 	return e.repair, e.rErr
 }
 
-func (mm *Memo) entry(m *core.Model, t *litmus.Test) *memoEntry {
-	key := memoKey{model: m.Fingerprint(), test: t.Fingerprint()}
+func (mm *Memo) entry(m *core.Model, t *litmus.Test, enum axiom.Opts) *memoEntry {
+	key := memoKey{model: m.Fingerprint(), test: t.Fingerprint(), enum: enum}
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	e, ok := mm.entries[key]
@@ -193,33 +154,26 @@ func (mm *Memo) entry(m *core.Model, t *litmus.Test) *memoEntry {
 	return e
 }
 
-func analyse(m *core.Model, t *litmus.Test, parallelism int) (*ModelInfo, error) {
+func analyse(ctx context.Context, m *core.Model, t *litmus.Test, o core.Opts) (*ModelInfo, error) {
 	info := &ModelInfo{Allowed: make(map[string]bool)}
 	// Candidate executions stream from the enumerator into verdict-only
-	// model evaluation (Model.ForEachVerdict): nothing materialises the
-	// candidate set, and with parallelism > 1 (or auto past the pipeline
-	// threshold) they fan out over the worker pool with a scratch per
-	// worker. The reductions are order-independent — a fingerprint set
-	// union and two counters — so the memoized info is identical for every
+	// model evaluation (Model.ForEachVerdict), never materialising the
+	// candidate set; visit runs serially in enumeration order, so the
+	// reductions need no lock and the info is identical for every
 	// parallelism.
-	var mu sync.Mutex
-	n, err := m.ForEachVerdict(t, parallelism, func(_ int, x *axiom.Execution, allowed bool) error {
+	n, err := m.ForEachVerdict(ctx, t, o, func(_ int, x *axiom.Execution, allowed bool) error {
 		if !allowed {
 			return nil
 		}
-		fp := harness.Fingerprint(t, x.Final)
-		weak := t.Exists.Eval(x.Final)
-		mu.Lock()
 		// Weighted: a symmetry-pruned representative stands for Weight()
 		// equivalent executions sharing its final state, so the count — and
 		// the fingerprint set, which is orbit-invariant by construction —
 		// matches the exhaustive enumeration exactly.
 		info.AllowedCount += x.Weight()
-		info.Allowed[fp] = true
-		if weak {
+		info.Allowed[harness.Fingerprint(t, x.Final)] = true
+		if t.Exists.Eval(x.Final) {
 			info.WeakAllowed = true
 		}
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {

@@ -28,12 +28,12 @@ func TestAnalyseMatchesExhaustive(t *testing.T) {
 		MustBuild()
 	m := core.PTX()
 	for _, par := range []int{1, 4} {
-		info, err := NewMemo().AnalyseP(m, test, par)
+		info, err := NewMemo().Analyse(context.Background(), m, test, core.Opts{Parallelism: par})
 		if err != nil {
 			t.Fatalf("p%d: %v", par, err)
 		}
 		ref := &ModelInfo{Allowed: make(map[string]bool)}
-		n, err := m.ForEachVerdictOptsCtx(context.Background(), test, 1, axiom.Opts{Exhaustive: true},
+		n, err := m.ForEachVerdict(context.Background(), test, core.Opts{Parallelism: 1, Enum: axiom.Opts{Exhaustive: true}},
 			func(_ int, x *axiom.Execution, allowed bool) error {
 				if !allowed {
 					return nil

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -17,12 +18,12 @@ func TestMemoVerdictStatic(t *testing.T) {
 	m := core.PTX()
 
 	decided := litmus.MP(litmus.FenceGL) // statically forbidden under ptx
-	v, err := mm.VerdictStatic(m, decided)
+	v, err := mm.Verdict(context.Background(), m, decided, core.Opts{Static: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.StaticSkipped || v.Observable {
-		t.Fatalf("VerdictStatic(mp+membar.gls) = %+v, want a static Never", v)
+		t.Fatalf("static Verdict(mp+membar.gls) = %+v, want a static Never", v)
 	}
 	if v.Candidates != 0 {
 		t.Errorf("static verdict carries %d candidates; nothing was enumerated", v.Candidates)
@@ -32,7 +33,7 @@ func TestMemoVerdictStatic(t *testing.T) {
 	}
 
 	// Re-request: memoized, the ledger must not double-count.
-	if _, err := mm.VerdictStatic(m, decided); err != nil {
+	if _, err := mm.Verdict(context.Background(), m, decided, core.Opts{Static: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mm.StaticSkipped(); got != 1 {
@@ -40,24 +41,24 @@ func TestMemoVerdictStatic(t *testing.T) {
 	}
 
 	// The same entry still serves a full enumerated verdict on request.
-	full, err := mm.Verdict(m, decided)
+	full, err := mm.Verdict(context.Background(), m, decided, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.StaticSkipped || full.Candidates == 0 {
-		t.Errorf("Verdict after VerdictStatic = %+v, want full enumeration counts", full)
+		t.Errorf("Verdict after a static Verdict = %+v, want full enumeration counts", full)
 	}
 	if full.Observable != v.Observable {
 		t.Errorf("static observable %v disagrees with enumeration %v", v.Observable, full.Observable)
 	}
 
 	unknown := litmus.CoRR() // statically unknown under ptx
-	u, err := mm.VerdictStatic(m, unknown)
+	u, err := mm.Verdict(context.Background(), m, unknown, core.Opts{Static: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u.StaticSkipped || u.Candidates == 0 {
-		t.Errorf("VerdictStatic(coRR) = %+v, want enumeration fallback", u)
+		t.Errorf("static Verdict(coRR) = %+v, want enumeration fallback", u)
 	}
 	if got := mm.StaticSkipped(); got != 1 {
 		t.Errorf("StaticSkipped after fallback = %d, want still 1", got)
@@ -79,7 +80,7 @@ func TestMemoVerdictStaticConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			verdicts[i], errs[i] = mm.VerdictStatic(m, tst)
+			verdicts[i], errs[i] = mm.Verdict(context.Background(), m, tst, core.Opts{Static: true})
 		}(i)
 	}
 	wg.Wait()
@@ -93,5 +94,13 @@ func TestMemoVerdictStaticConcurrent(t *testing.T) {
 	}
 	if got := mm.StaticSkipped(); got != 1 {
 		t.Errorf("StaticSkipped = %d, want exactly 1 under concurrency", got)
+	}
+}
+
+// TestMemoAnalyseRejectsStatic: Analyse fingerprints executions, which a
+// static decision does not have, so Opts.Static is an error.
+func TestMemoAnalyseRejectsStatic(t *testing.T) {
+	if _, err := NewMemo().Analyse(context.Background(), core.PTX(), litmus.MP(litmus.FenceGL), core.Opts{Static: true}); err == nil {
+		t.Fatal("Analyse accepted Opts.Static")
 	}
 }

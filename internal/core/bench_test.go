@@ -137,7 +137,7 @@ func benchJudgeStress(b *testing.B, parallelism int) {
 	var v *Verdict
 	for i := 0; i < b.N; i++ {
 		var err error
-		if v, err = JudgeP(m, test, parallelism); err != nil {
+		if v, err = JudgeWith(context.Background(), m, test, Opts{Parallelism: parallelism}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func benchJudgeSymmetric(b *testing.B, opts axiom.Opts) {
 	var v *Verdict
 	for i := 0; i < b.N; i++ {
 		var err error
-		if v, err = JudgeOptsCtx(context.Background(), m, test, 1, opts); err != nil {
+		if v, err = JudgeWith(context.Background(), m, test, Opts{Parallelism: 1, Enum: opts}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func benchJudgeCorpus(b *testing.B, static bool) {
 			var v *Verdict
 			var err error
 			if static {
-				v, err = JudgeStatic(m, t)
+				v, err = JudgeWith(context.Background(), m, t, Opts{Static: true})
 			} else {
 				v, err = Judge(m, t)
 			}
@@ -235,7 +235,7 @@ func BenchmarkPrefilterDecided(b *testing.B) {
 	test := litmus.MP(litmus.FenceGL)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if res := m.Prefilter(test); res.Verdict == analysis.Unknown {
+		if res := analysis.Prefilter(test, m.Policy()); res.Verdict == analysis.Unknown {
 			b.Fatal("mp+membar.gls must be statically decided")
 		}
 	}
@@ -249,7 +249,7 @@ func BenchmarkPrefilterUndecided(b *testing.B) {
 	test := litmus.MP(litmus.NoFence)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if res := m.Prefilter(test); res.Verdict != analysis.Unknown {
+		if res := analysis.Prefilter(test, m.Policy()); res.Verdict != analysis.Unknown {
 			b.Fatal("mp must be statically undecided under ptx")
 		}
 	}
@@ -290,7 +290,7 @@ func benchJudgeFencedStress(b *testing.B, static bool) {
 		var v *Verdict
 		var err error
 		if static {
-			v, err = JudgeStatic(m, test)
+			v, err = JudgeWith(context.Background(), m, test, Opts{Static: true})
 		} else {
 			v, err = Judge(m, test)
 		}

@@ -23,7 +23,7 @@ func TestForEachVerdictCtxCancelMidStream(t *testing.T) {
 	// stressTest enumerates hundreds of candidates; cancel after a few and
 	// check the producer stops instead of exhausting the enumeration.
 	test := stressTest(3)
-	total, err := PTX().ForEachVerdictCtx(context.Background(), test, 1, func(int, *axiom.Execution, bool) error { return nil })
+	total, err := PTX().ForEachVerdict(context.Background(), test, Opts{Parallelism: 1}, func(int, *axiom.Execution, bool) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestForEachVerdictCtxCancelMidStream(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	seen := 0
-	_, err = PTX().ForEachVerdictCtx(ctx, test, 1, func(int, *axiom.Execution, bool) error {
+	_, err = PTX().ForEachVerdict(ctx, test, Opts{Parallelism: 1}, func(int, *axiom.Execution, bool) error {
 		seen++
 		if seen == 4 {
 			cancel()
@@ -54,7 +54,7 @@ func TestForEachVerdictCtxCancelParallel(t *testing.T) {
 	test := stressTest(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := PTX().ForEachVerdictCtx(ctx, test, 4, func(int, *axiom.Execution, bool) error { return nil })
+	_, err := PTX().ForEachVerdict(ctx, test, Opts{Parallelism: 4}, func(int, *axiom.Execution, bool) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

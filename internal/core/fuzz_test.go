@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/litmus"
@@ -44,7 +45,7 @@ func FuzzRepair(f *testing.F) {
 		if instrs > 8 {
 			return
 		}
-		r, err := Repair(m, test)
+		r, err := Repair(context.Background(), m, test, Opts{})
 		if err != nil {
 			// The judge rejects some parseable tests (e.g. value domains it
 			// cannot bound); those are its errors to report, not repair bugs.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -35,12 +36,12 @@ func TestJudgeParallelMatchesSerial(t *testing.T) {
 	models := []*Model{PTX(), SC()}
 	for _, test := range tests {
 		for _, m := range models {
-			serial, err := JudgeP(m, test, 1)
+			serial, err := JudgeWith(context.Background(), m, test, Opts{Parallelism: 1})
 			if err != nil {
 				t.Fatalf("%s/%s: serial: %v", test.Name, m.Name, err)
 			}
 			for _, par := range []int{0, 4} {
-				got, err := JudgeP(m, test, par)
+				got, err := JudgeWith(context.Background(), m, test, Opts{Parallelism: par})
 				if err != nil {
 					t.Fatalf("%s/%s: parallelism %d: %v", test.Name, m.Name, par, err)
 				}

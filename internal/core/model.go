@@ -13,7 +13,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
 	"github.com/weakgpu/gpulitmus/internal/axiom"
@@ -241,9 +240,9 @@ type Verdict struct {
 	Visited int
 
 	// StaticSkipped marks a verdict decided by the static prefilter
-	// without enumeration (see JudgeStatic): Observable is authoritative
-	// but all candidate counts are zero. StaticReason is the prefilter's
-	// justification.
+	// without enumeration (see Model.StaticVerdict): Observable is
+	// authoritative but all candidate counts are zero. StaticReason is the
+	// prefilter's justification.
 	StaticSkipped bool
 	StaticReason  string
 }
@@ -272,57 +271,57 @@ func (v *Verdict) String() string {
 		v.Test.Name, state, v.Allowed, v.Candidates, v.Witnesses, v.Model)
 }
 
-// Judge decides whether the test's final condition is allowed — the
+// Opts selects how a verdict operation runs. The zero value is the
+// default everywhere: auto parallelism, no static prefilter,
+// axiom.DefaultOpts bounds.
+type Opts struct {
+	// Parallelism bounds the evaluating workers: 0 (auto) streams serially
+	// and fans out to GOMAXPROCS workers only once the enumeration proves
+	// big enough; 1 is serial; n > 1 fans out n workers from the start.
+	// Every result is identical for every value.
+	Parallelism int
+	// Static puts the static prefilter in front of enumeration: when it
+	// decides, the verdict comes back from Model.StaticVerdict without any
+	// enumeration.
+	Static bool
+	// Enum bounds the enumeration. Zero fields take axiom.DefaultOpts
+	// values, so the zero Enum is axiom.DefaultOpts(). The pruned-vs-
+	// exhaustive differential oracle sets Enum.Exhaustive: its verdict
+	// agrees with the pruned one on every count, the observable flag and
+	// the witness content (the pruned Witness is the canonical —
+	// enumeration-first — member of the exhaustive witness's symmetry
+	// class), though witness indices and Visited differ.
+	Enum axiom.Opts
+}
+
+// JudgeWith decides whether the test's final condition is allowed — the
 // herd-style simulation of Sec. 5.4. Candidate executions stream from the
 // enumerator straight into verdict-only model evaluation (never
-// materialising the candidate set), and large enumerations fan out across
-// the worker pool. Equivalent to JudgeP(m, t, 0).
-func Judge(m *Model, t *litmus.Test) (*Verdict, error) {
-	return JudgeP(m, t, 0)
-}
-
-// JudgeP is Judge with an explicit evaluation parallelism (see
-// Model.ForEachVerdict for its meaning). The verdict — including the
-// Witness, pinned to the first witnessing execution in enumeration order —
-// is identical for every parallelism.
-func JudgeP(m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
-	return JudgeCtx(context.Background(), m, t, parallelism)
-}
-
-// JudgeCtx is JudgeP under a context: cancelling ctx aborts the judgement
-// mid-enumeration (see Model.ForEachVerdictCtx) and returns ctx.Err(). The
-// service layer passes request-scoped contexts here so abandoned judge
-// requests stop costing enumeration work.
-func JudgeCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
-	return JudgeOptsCtx(ctx, m, t, parallelism, axiom.DefaultOpts())
-}
-
-// JudgeOptsCtx is JudgeCtx with explicit enumeration bounds. Its main use
-// is the differential oracle: judging with axiom.Opts{Exhaustive: true}
-// disables symmetry pruning, and the resulting verdict must agree with the
-// pruned one on every count, the observable flag, and the witness content
-// (the pruned Witness is the canonical — enumeration-first — member of the
-// exhaustive witness's symmetry class, so the execution content and final
-// state are identical even though indices differ).
-func JudgeOptsCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int, opts axiom.Opts) (*Verdict, error) {
+// materialising the candidate set; see Model.ForEachVerdict), and the
+// Witness is the first witnessing execution in enumeration order. The
+// verdict is identical for every o.Parallelism. Cancelling ctx aborts the
+// judgement mid-enumeration and returns ctx.Err(); the service passes
+// request-scoped contexts so abandoned requests stop costing work.
+func JudgeWith(ctx context.Context, m *Model, t *litmus.Test, o Opts) (*Verdict, error) {
+	if o.Static {
+		if v := m.StaticVerdict(t); v != nil {
+			return v, nil
+		}
+		o.Static = false
+	}
 	v := &Verdict{Test: t, Model: m.Name}
-	var mu sync.Mutex
-	witnessIdx := -1
-	n, err := m.ForEachVerdictOptsCtx(ctx, t, parallelism, opts, func(i int, x *axiom.Execution, allowed bool) error {
-		mu.Lock()
+	n, err := m.ForEachVerdict(ctx, t, o, func(_ int, x *axiom.Execution, allowed bool) error {
 		v.Visited++
 		if allowed {
 			w := x.Weight()
 			v.Allowed += w
 			if t.Exists.Eval(x.Final) {
 				v.Witnesses += w
-				if witnessIdx < 0 || i < witnessIdx {
-					witnessIdx = i
+				if v.Witness == nil {
 					v.Witness = x
 				}
 			}
 		}
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -331,4 +330,14 @@ func JudgeOptsCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int
 	v.Candidates = n
 	v.Observable = v.Witnesses > 0
 	return v, nil
+}
+
+// Judge is JudgeWith under the background context and default Opts.
+func Judge(m *Model, t *litmus.Test) (*Verdict, error) {
+	return JudgeWith(context.Background(), m, t, Opts{})
+}
+
+// JudgeCtx is JudgeWith with only the parallelism set.
+func JudgeCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
+	return JudgeWith(ctx, m, t, Opts{Parallelism: parallelism})
 }

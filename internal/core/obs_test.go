@@ -86,10 +86,10 @@ func TestTracedJudgeLedgerMatchesVerdict(t *testing.T) {
 	}
 }
 
-// TestTracedJudgeLedgerParallelRegimes pins that the weighted ledger is
-// regime-independent: explicit parallelism switches the pipeline to
-// combo/chunk/exec fan-out, and the atomically accumulated counters
-// must still equal the verdict's.
+// TestTracedJudgeLedgerParallelRegimes pins that the weighted ledger does
+// not depend on parallelism: explicit parallelism fans the units out over
+// the ordered merge, where the workers accumulate the production counters
+// atomically, and those counters must still equal the verdict's.
 func TestTracedJudgeLedgerParallelRegimes(t *testing.T) {
 	m := PTX()
 	test, err := litmus.ByName("coRR")

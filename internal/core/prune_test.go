@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
@@ -66,11 +65,11 @@ func TestJudgePrunedMatchesExhaustive(t *testing.T) {
 	for _, test := range tests {
 		for _, m := range models {
 			for _, par := range []int{0, 1, 4} {
-				pruned, err := JudgeOptsCtx(ctx, m, test, par, axiom.DefaultOpts())
+				pruned, err := JudgeWith(ctx, m, test, Opts{Parallelism: par, Enum: axiom.DefaultOpts()})
 				if err != nil {
 					t.Fatalf("%s/%s/p%d: pruned: %v", test.Name, m.Name, par, err)
 				}
-				exh, err := JudgeOptsCtx(ctx, m, test, par, axiom.Opts{Exhaustive: true})
+				exh, err := JudgeWith(ctx, m, test, Opts{Parallelism: par, Enum: axiom.Opts{Exhaustive: true}})
 				if err != nil {
 					t.Fatalf("%s/%s/p%d: exhaustive: %v", test.Name, m.Name, par, err)
 				}
@@ -126,22 +125,19 @@ func TestVerdictPrunedAccounting(t *testing.T) {
 // TestForEachVerdictWeightedHistogram pins the weighted outcome-histogram
 // equivalence the campaign memo depends on: summing Execution.Weight per
 // final-state fingerprint under pruning must reproduce the exhaustive
-// per-fingerprint counts, in every pipeline regime.
+// per-fingerprint counts, serial and fanned out.
 func TestForEachVerdictWeightedHistogram(t *testing.T) {
 	m := PTX()
 	ctx := context.Background()
 	for _, test := range []*litmus.Test{symCoreTest(4), soloChunkTest(), stressTest(3)} {
 		for _, par := range []int{1, 4} {
 			collect := func(opts axiom.Opts) map[string]int {
-				var mu sync.Mutex
 				h := map[string]int{}
-				if _, err := m.ForEachVerdictOptsCtx(ctx, test, par, opts, func(_ int, x *axiom.Execution, allowed bool) error {
+				if _, err := m.ForEachVerdict(ctx, test, Opts{Parallelism: par, Enum: opts}, func(_ int, x *axiom.Execution, allowed bool) error {
 					if !allowed {
 						return nil
 					}
-					mu.Lock()
 					h[harness.Fingerprint(test, x.Final)] += x.Weight()
-					mu.Unlock()
 					return nil
 				}); err != nil {
 					t.Fatalf("%s/p%d: %v", test.Name, par, err)

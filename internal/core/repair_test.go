@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -26,7 +27,7 @@ func repairCorpus() []*litmus.Test {
 func TestRepairCorpus(t *testing.T) {
 	m := PTX()
 	for _, test := range repairCorpus() {
-		r, err := Repair(m, test)
+		r, err := Repair(context.Background(), m, test, Opts{})
 		if err != nil {
 			t.Fatalf("Repair(%s): %v", test.Name, err)
 		}
@@ -56,7 +57,7 @@ func TestRepairCorpus(t *testing.T) {
 func TestRepairMinimal(t *testing.T) {
 	m := PTX()
 	for _, test := range repairCorpus() {
-		r, err := Repair(m, test)
+		r, err := Repair(context.Background(), m, test, Opts{})
 		if err != nil {
 			t.Fatalf("Repair(%s): %v", test.Name, err)
 		}
@@ -85,7 +86,7 @@ func TestRepairMinimal(t *testing.T) {
 // TestRepairAlreadyForbidden: a test whose behaviour the model already
 // forbids needs no edits; the result is verified and empty.
 func TestRepairAlreadyForbidden(t *testing.T) {
-	r, err := Repair(PTX(), litmus.MP(litmus.FenceGL))
+	r, err := Repair(context.Background(), PTX(), litmus.MP(litmus.FenceGL), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +104,11 @@ func TestRepairAlreadyForbidden(t *testing.T) {
 func TestRepairDeterministic(t *testing.T) {
 	m := PTX()
 	test := litmus.MPL1(litmus.FenceCTA)
-	a, err := Repair(m, test)
+	a, err := Repair(context.Background(), m, test, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Repair(m, test)
+	b, err := Repair(context.Background(), m, test, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestRepairDeterministic(t *testing.T) {
 // existing membar.cta fences in place (the worked example in README): the
 // minimal repair must be two strengthen edits, not insertions.
 func TestRepairScopeLadder(t *testing.T) {
-	r, err := Repair(PTX(), litmus.MPL1(litmus.FenceCTA))
+	r, err := Repair(context.Background(), PTX(), litmus.MPL1(litmus.FenceCTA), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

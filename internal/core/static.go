@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"github.com/weakgpu/gpulitmus/internal/analysis"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
@@ -13,40 +11,24 @@ import (
 // sound for any model.
 func (m *Model) Policy() analysis.Policy { return m.policy }
 
-// Prefilter statically judges the test under the model's policy without
-// enumerating. The result is sound with respect to Judge: Forbidden ⇒
-// Judge yields Witnesses == 0, Allowed ⇒ Witnesses > 0, and Unknown means
-// the caller must enumerate (the differential oracle in static_test.go
-// holds this contract over the paper corpus and a randomized corpus).
-func (m *Model) Prefilter(t *litmus.Test) analysis.Result {
-	return analysis.Prefilter(t, m.policy)
-}
-
-// JudgeStatic is Judge with the static prefilter in front: when the
-// prefilter decides the verdict, enumeration is skipped entirely and the
-// returned Verdict has StaticSkipped set (with zero candidate counts).
-// Equivalent to JudgeStaticP(m, t, 0).
-func JudgeStatic(m *Model, t *litmus.Test) (*Verdict, error) {
-	return JudgeStaticP(m, t, 0)
-}
-
-// JudgeStaticP is JudgeStatic with an explicit evaluation parallelism.
-func JudgeStaticP(m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
-	return JudgeStaticCtx(context.Background(), m, t, parallelism)
-}
-
-// JudgeStaticCtx is JudgeStaticP under a context. The prefilter itself is
-// cheap and never consults the context; only the enumeration fallback
-// does.
-func JudgeStaticCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
-	if res := m.Prefilter(t); res.Verdict != analysis.Unknown {
-		return &Verdict{
-			Test:          t,
-			Model:         m.Name,
-			Observable:    res.Verdict == analysis.Allowed,
-			StaticSkipped: true,
-			StaticReason:  res.Reason,
-		}, nil
+// StaticVerdict statically judges the test under the model's policy
+// (analysis.Prefilter) without enumerating. A decided verdict has
+// StaticSkipped set, an authoritative Observable, the prefilter's
+// justification in StaticReason, and zero candidate counts; nil means the
+// prefilter cannot decide and the caller must enumerate. Decisions are
+// sound with respect to enumeration: Forbidden ⇒ zero witnesses, Allowed ⇒
+// at least one (the differential oracle in static_test.go holds this
+// contract over the paper corpus and a randomized corpus).
+func (m *Model) StaticVerdict(t *litmus.Test) *Verdict {
+	res := analysis.Prefilter(t, m.policy)
+	if res.Verdict == analysis.Unknown {
+		return nil
 	}
-	return JudgeCtx(ctx, m, t, parallelism)
+	return &Verdict{
+		Test:          t,
+		Model:         m.Name,
+		Observable:    res.Verdict == analysis.Allowed,
+		StaticSkipped: true,
+		StaticReason:  res.Reason,
+	}
 }

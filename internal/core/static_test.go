@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -20,7 +21,7 @@ func builtinModels() []*Model {
 // contract: Forbidden ⇒ zero witnesses, Allowed ⇒ at least one.
 func checkStaticAgainstJudge(t *testing.T, m *Model, tst *litmus.Test) (decided bool) {
 	t.Helper()
-	res := m.Prefilter(tst)
+	res := analysis.Prefilter(tst, m.Policy())
 	if res.Verdict == analysis.Unknown {
 		return false
 	}
@@ -210,7 +211,7 @@ func TestPrefilterPaperExpectations(t *testing.T) {
 		{ptx, litmus.CoRR(), analysis.Unknown},
 	}
 	for _, c := range cases {
-		got := c.model.Prefilter(c.test)
+		got := analysis.Prefilter(c.test, c.model.Policy())
 		if got.Verdict != c.want {
 			t.Errorf("Prefilter(%s, %s) = %s (%s), want %s", c.test.Name, c.model.Name, got.Verdict, got.Reason, c.want)
 		}
@@ -222,7 +223,7 @@ func TestPrefilterPaperExpectations(t *testing.T) {
 // the ordinary judge with full counts.
 func TestJudgeStaticSkips(t *testing.T) {
 	m := PTX()
-	v, err := JudgeStatic(m, litmus.MP(litmus.FenceGL))
+	v, err := JudgeWith(context.Background(), m, litmus.MP(litmus.FenceGL), Opts{Static: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestJudgeStaticSkips(t *testing.T) {
 		t.Errorf("static verdict String = %q", s)
 	}
 
-	v, err = JudgeStatic(m, litmus.MP(litmus.NoFence))
+	v, err = JudgeWith(context.Background(), m, litmus.MP(litmus.NoFence), Opts{Static: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestFencedStressStaticAgrees(t *testing.T) {
 	m := PTX()
 	for extra := 0; extra <= 3; extra++ {
 		tst := fencedStressTest(extra)
-		sv, err := JudgeStatic(m, tst)
+		sv, err := JudgeWith(context.Background(), m, tst, Opts{Static: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
@@ -19,116 +18,74 @@ import (
 // from the axiom producer straight into model evaluation without ever
 // materialising the full candidate set. Path derivation happens once per
 // judgement (axiom.PrepareCtx memoizes it across the value-domain fixpoint
-// iterations); production then proceeds by path combination.
+// iterations); production then proceeds unit by unit, where a unit is one
+// path combination or, for a single-combination test, one chunk of its rf
+// cross product (axiom.Enumeration.ComboChunks).
 //
-// Two parallel regimes sit on the shared worker pool:
-//
-//   - combo fan-out (the common large-enumeration shape): path combinations
-//     are produced AND evaluated on the workers — each worker assembles a
-//     combination with its own axiom.Assembler and checks its completions
-//     with its own evaluation scratch — while pool.OrderedStream merges the
-//     verdicts back in exact enumeration order. visit is therefore called
-//     serially, in order, with the true enumeration index, and the MaxExecs
-//     bound fails at exactly the execution the serial stream would have
-//     failed at.
-//   - chunk fan-out (single-combination tests whose rf cross product
-//     splits): the combination's rf-choice chunks are produced AND
-//     evaluated on the workers like combos, merged in exact order;
-//   - execution fan-out (single-combination tests whose rf space does not
-//     split): the one combination streams from the enumerating goroutine
-//     into evaluation workers over a channel, exactly the PR 3 pipeline. In
-//     this regime visit runs concurrently and must reduce by index.
-//
-// Everything a caller aggregates (Judge's counts and witness, the campaign
-// memo's fingerprint set) is deterministic regardless of parallelism, and
-// counts are weighted by Execution.Weight so symmetry pruning never changes
-// what a caller observes (see axiom.Opts.Exhaustive).
+// There is one regime. Units stream serially on the calling goroutine
+// until the run fans out; from then on the remaining units are produced
+// and evaluated on the workers — each with its own axiom.Assembler and
+// evaluation scratch — while pool.OrderedStream merges the verdicts back
+// in exact enumeration order. A serial run is the one-worker case: it
+// never fans out. Either way visit is called serially, in enumeration
+// order, with the true index, and the MaxExecs bound fails at exactly the
+// execution the serial stream fails at, so everything a caller aggregates
+// is identical for every parallelism. Counts are weighted by
+// Execution.Weight, so symmetry pruning never changes what a caller
+// observes (see axiom.Opts.Exhaustive).
 
-// parallelMinExecs is the execution-fan-out threshold: single-combination
-// enumerations at least this large engage the channel pipeline in auto
-// mode; smaller ones are checked serially on the enumerating goroutine,
-// where worker startup and channel traffic would cost more than they save.
-const parallelMinExecs = 128
+// autoFanOutMin is auto mode's one threshold, in evaluated executions. A
+// multi-combination test streams serially until it has evaluated this
+// many at a combination boundary, then fans the remaining combinations
+// out; a single-combination test has no boundary, so it fans its rf chunks
+// out from the start when ComboChunks estimates the combination at least
+// this big. Below it, worker startup and the ordered merge cost more than
+// they save. The count is of evaluations, not weighted candidates: a
+// symmetry-pruned representative stands for many candidates but costs one
+// evaluation. 128 sits on the measured plateau on a 2-core host, where
+// 32–256 judge the multi-combination stress shapes alike and below 32 the
+// litmus-sized tests start to fan out at a loss.
+const autoFanOutMin = 128
 
-// parallelMinCombos is the combo-fan-out threshold for auto mode: tests
-// with at least this many path combinations are produced in parallel.
-// Below it (every paper litmus test) enumeration is too small for worker
-// startup to pay off; explicit parallelism overrides the threshold.
-const parallelMinCombos = 32
-
-// errVerdictStopped aborts the producer when a worker has already failed.
+// errVerdictStopped ends a worker's unit after it has emitted an
+// evaluation error; the merge stops on that error first, so
+// errVerdictStopped never reaches the caller.
 var errVerdictStopped = errors.New("core: verdict stream stopped")
 
-// execItem is one numbered candidate on its way to a worker.
-type execItem struct {
-	idx int
-	x   *axiom.Execution
-}
+// errStaticVisit rejects Opts.Static where executions are to be visited.
+var errStaticVisit = errors.New("core: a static decision has no executions to visit")
 
 // execVerdict is one evaluated candidate on its way back to the ordered
-// merge of the combo fan-out.
+// merge.
 type execVerdict struct {
 	x       *axiom.Execution
 	allowed bool
 	err     error
 }
 
-// checkExec evaluates one candidate on the verdict-only path, attaching
-// the model name to evaluation failures (multi-model sweeps need to know
-// which model's program failed); visit errors pass through verbatim.
-func (m *Model) checkExec(sc *cat.Scratch, idx int, x *axiom.Execution, visit func(i int, x *axiom.Execution, allowed bool) error) error {
-	allowed, err := m.prog.RunExecVerdict(x, sc)
-	if err != nil {
-		return fmt.Errorf("core: model %s: %w", m.Name, err)
-	}
-	return visit(idx, x, allowed)
-}
-
-// ForEachVerdict enumerates the candidate executions of t (under
-// axiom.DefaultOpts) and calls visit(i, x, allowed) for every produced
-// candidate, where i is the execution's position in enumeration order and
-// allowed is the model's verdict-only evaluation. It returns the weighted
-// number of candidates: symmetry pruning may produce one representative
-// for a class of equivalent executions (x.Weight() > 1), and the count —
-// like any weighted aggregate a caller builds — equals the exhaustive
-// enumeration's.
+// ForEachVerdict enumerates the candidate executions of t under o.Enum
+// and calls visit(i, x, allowed) for every produced candidate, where i is
+// the execution's position in the produced stream (representative
+// ordinals under symmetry pruning) and allowed is the model's
+// verdict-only evaluation. visit is always called serially, in
+// enumeration order, whatever o.Parallelism is (see Opts), so a callback
+// needs no lock and the first witness it sees is the first in order.
 //
-// parallelism bounds the evaluating workers: 0 sizes the pool to
-// GOMAXPROCS but stays serial for small enumerations (the common litmus
-// case); 1 forces serial; n > 1 forces a parallel pipeline of n workers.
-// Under combo fan-out (explicit parallelism on tests with at least two
-// path combinations, or auto mode past the combination threshold) visit
-// is called serially in enumeration order; under execution fan-out
-// (few-combination tests with large rf/co spaces) it is called
-// concurrently and in no particular order — a visit callback must
-// therefore be safe for concurrent use and reduce order-independently or
-// by index. Any visit error cancels the run and is returned.
-func (m *Model) ForEachVerdict(t *litmus.Test, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	return m.ForEachVerdictCtx(context.Background(), t, parallelism, visit)
-}
-
-// ForEachVerdictCtx is ForEachVerdict under a context: cancelling ctx stops
-// the producer promptly (checked per combination and per execution),
-// unblocks the pipeline, and returns ctx.Err(). Long-lived callers (the
-// gpulitmusd service) pass the request-scoped context so an abandoned
-// request stops consuming the worker pool mid-stream. For an uncancelled
-// ctx the behaviour is exactly ForEachVerdict's.
-func (m *Model) ForEachVerdictCtx(ctx context.Context, t *litmus.Test, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	return m.ForEachVerdictOptsCtx(ctx, t, parallelism, axiom.DefaultOpts(), visit)
-}
-
-// ForEachVerdictOptsCtx is ForEachVerdictCtx with explicit enumeration
-// bounds. Its main caller is the pruned-vs-exhaustive differential oracle,
-// which re-judges with axiom.Opts{Exhaustive: true}; everything else keeps
-// the defaults. i is the execution's position in the *produced* stream
-// (representative ordinals under pruning); the returned count is the
-// weighted candidate total, identical between pruned and exhaustive runs.
-func (m *Model) ForEachVerdictOptsCtx(ctx context.Context, t *litmus.Test, parallelism int, opts axiom.Opts, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
+// It returns the weighted number of candidates: symmetry pruning may
+// produce one representative for a class of equivalent executions
+// (x.Weight() > 1), and the count — like any weighted aggregate a caller
+// builds — equals the exhaustive enumeration's.
+//
+// Cancelling ctx stops the producer promptly (checked per unit and per
+// execution) and returns ctx.Err(). Any visit error stops the run and is
+// returned. o.Static is an error: a static decision has no executions.
+func (m *Model) ForEachVerdict(ctx context.Context, t *litmus.Test, o Opts, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
+	if o.Static {
+		return 0, errStaticVisit
+	}
 	if tr := obs.FromContext(ctx); tr.Enabled() {
 		// Traced run: open the pipeline span (PrepareCtx nests "prepare"
-		// under it) and time the visit/merge callback into PhaseMerge. The
-		// wrapper composes with every regime — under exec fan-out visit
-		// runs concurrently, and the phase timer is atomic.
+		// under it) and time the visit/merge callback into PhaseMerge.
 		sp, sctx := tr.StartSpan(ctx, "verdict")
 		ctx = sctx
 		defer sp.Finish()
@@ -140,242 +97,143 @@ func (m *Model) ForEachVerdictOptsCtx(ctx context.Context, t *litmus.Test, paral
 			return err
 		}
 	}
-	workers := parallelism
-	auto := workers <= 0
-	if auto {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	enum, err := axiom.PrepareCtx(ctx, t, opts)
+	enum, err := axiom.PrepareCtx(ctx, t, o.Enum)
 	if err != nil {
 		return 0, err
 	}
-	nc := enum.Combos()
-	switch {
-	case workers == 1 || nc == 0:
-		return m.forEachVerdictSerial(ctx, enum, visit)
-	case nc == 1:
-		// One combination cannot fan out by combo; split its rf cross
-		// product into chunks instead (falls back to the channel pipeline
-		// when the product is too small or unsplittable).
-		return m.forEachVerdictChunked(ctx, enum, workers, auto, visit)
-	case auto && nc < parallelMinCombos:
-		// Too few combinations for combo fan-out to proxy enumeration size
-		// (a handful of combos can still hide thousands of rf/co
-		// completions): the execution-level pipeline decides by execution
-		// count — serial under its threshold, channel fan-out past it.
-		return m.forEachVerdictExecPipeline(ctx, enum, workers, auto, visit)
-	default:
-		return m.forEachVerdictCombos(ctx, enum, workers, visit)
-	}
+	return m.streamVerdicts(ctx, enum, o.Parallelism, visit)
 }
 
-// forEachVerdictSerial checks each candidate on the enumerating goroutine
-// as it streams out, with one scratch for the whole run.
-func (m *Model) forEachVerdictSerial(ctx context.Context, enum *axiom.Enumeration, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	sc := m.NewScratch()
-	sc.SetTracer(obs.FromContext(ctx))
-	count, visits := 0, 0
-	err := enum.StreamCtx(ctx, func(x *axiom.Execution) error {
-		idx := visits
-		visits++
-		count += x.Weight()
-		return m.checkExec(sc, idx, x, visit)
-	})
-	return count, err
-}
-
-// forEachVerdictCombos fans path combinations out across the pool: each
-// worker assembles its claimed combination and evaluates its completions
-// with per-worker scratches, and the verdicts merge back on this goroutine
-// in exact enumeration order (see pool.OrderedStream). The MaxExecs bound
-// is enforced at the merge, where the global weighted count is exact, with
-// the same error the serial stream raises.
-func (m *Model) forEachVerdictCombos(ctx context.Context, enum *axiom.Enumeration, workers int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	nc := enum.Combos()
-	if workers > nc {
-		workers = nc
+// streamVerdicts is the pipeline's one loop: units [0, u) stream serially
+// here, units [u, units) fan out on the ordered merge once the fan-out
+// condition holds at a unit boundary.
+func (m *Model) streamVerdicts(ctx context.Context, enum *axiom.Enumeration, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
+	workers, auto := parallelism, parallelism <= 0
+	if auto {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return m.forEachVerdictOrdered(ctx, enum, nc, workers, visit,
-		func(a *axiom.Assembler, c int, yield func(*axiom.Execution) error) error {
-			return enum.StreamCombo(c, a, yield)
-		})
-}
-
-// forEachVerdictChunked handles the single-combination shape by splitting
-// the combination's rf cross product into claimable chunks — one per
-// candidate source of the first rf choice — produced and evaluated on the
-// workers and merged back in exact enumeration order, exactly like combo
-// fan-out (chunks ascending = sources ascending = the serial order). When
-// the combination cannot usefully split (fewer than two chunks, or an auto
-// run whose estimated completion count is under the pipeline threshold) it
-// falls back to the channel pipeline.
-func (m *Model) forEachVerdictChunked(ctx context.Context, enum *axiom.Enumeration, workers int, auto bool, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	var probe axiom.Assembler
-	chunks, estimate := enum.ComboChunks(0, &probe)
-	if chunks < 2 || (auto && estimate < parallelMinExecs) {
-		return m.forEachVerdictExecPipeline(ctx, enum, workers, auto, visit)
+	var a axiom.Assembler
+	units, chunked := enum.Combos(), false
+	if units == 1 && workers > 1 {
+		// ComboChunks leaves the skeleton in a, so a combination that stays
+		// serial is not built twice.
+		chunks, estimate := enum.ComboChunks(0, &a)
+		chunked = chunks > 1 && (!auto || estimate >= autoFanOutMin)
+		if chunked {
+			units = chunks
+		}
 	}
-	if workers > chunks {
-		workers = chunks
+	produce := func(asm *axiom.Assembler, u int, emit func(*axiom.Execution) error) error {
+		if chunked {
+			return enum.StreamComboChunk(0, u, asm, emit)
+		}
+		return enum.StreamCombo(u, asm, emit)
 	}
-	return m.forEachVerdictOrdered(ctx, enum, chunks, workers, visit,
-		func(a *axiom.Assembler, c int, yield func(*axiom.Execution) error) error {
-			return enum.StreamComboChunk(0, c, a, yield)
-		})
-}
+	// The remaining units fan out at the first boundary where at least two
+	// are left and fanOutAt executions have been evaluated: at once under
+	// explicit parallelism or a chunked combination, past the threshold in
+	// auto mode.
+	fanOutAt := 0
+	if auto && !chunked {
+		fanOutAt = autoFanOutMin
+	}
 
-// forEachVerdictOrdered is the shared fan-out/merge engine of the combo and
-// chunk drivers: items [0, n) are produced and evaluated on the workers (a
-// per-worker Assembler and scratch each) and their verdicts merge back on
-// this goroutine in exact enumeration order via pool.OrderedStream. The
-// MaxExecs bound is enforced at the merge by Execution.Weight, before any
-// speculative eval error at the same position (the serial stream fails with
-// BoundError before ever evaluating the execution past the bound).
-func (m *Model) forEachVerdictOrdered(ctx context.Context, enum *axiom.Enumeration, n, workers int, visit func(i int, x *axiom.Execution, allowed bool) error,
-	produce func(a *axiom.Assembler, item int, yield func(*axiom.Execution) error) error) (int, error) {
-	scratches := make([]*cat.Scratch, workers)
-	assemblers := make([]axiom.Assembler, workers)
 	tr := obs.FromContext(ctx)
-	for w := range scratches {
-		scratches[w] = m.NewScratch()
-		scratches[w].SetTracer(tr)
-	}
+	sc := m.NewScratch()
+	sc.SetTracer(tr)
 	maxExecs := enum.Opts().MaxExecs
 	count, visits := 0, 0
-	err := pool.OrderedStream(n, workers, 4*workers,
-		func(w, c int, emit func(execVerdict) error) error {
+	// admit counts x against the MaxExecs bound at its position in
+	// enumeration order, after the cancellation check.
+	admit := func(x *axiom.Execution) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		w := x.Weight()
+		if count+w > maxExecs {
+			return enum.BoundError()
+		}
+		count += w
+		return nil
+	}
+	deliver := func(x *axiom.Execution, allowed bool) error {
+		i := visits
+		visits++
+		return visit(i, x, allowed)
+	}
+
+	serial := func(x *axiom.Execution) error {
+		if err := admit(x); err != nil {
+			return err
+		}
+		allowed, err := m.verdictOf(x, sc)
+		if err != nil {
+			return err
+		}
+		return deliver(x, allowed)
+	}
+	u := 0
+	for ; u < units; u++ {
+		if workers > 1 && units-u > 1 && visits >= fanOutAt {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return count, err
+		}
+		if err := produce(&a, u, serial); err != nil {
+			return count, err
+		}
+	}
+	if u == units {
+		return count, nil
+	}
+
+	// Fan out. The calling goroutine only merges from here on, so worker 0
+	// takes over its scratch and Assembler.
+	workers = min(workers, units-u)
+	scratches := make([]*cat.Scratch, workers)
+	assemblers := make([]*axiom.Assembler, workers)
+	scratches[0], assemblers[0] = sc, &a
+	for w := 1; w < workers; w++ {
+		scratches[w] = m.NewScratch()
+		scratches[w].SetTracer(tr)
+		assemblers[w] = new(axiom.Assembler)
+	}
+	err := pool.OrderedStream(units-u, workers, 4*workers,
+		func(w, i int, emit func(execVerdict) error) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			sc := scratches[w]
-			return produce(&assemblers[w], c, func(x *axiom.Execution) error {
-				allowed, err := m.prog.RunExecVerdict(x, sc)
-				if err != nil {
-					// Deliver the failure at this execution's position in the
-					// merge, so the error a caller sees is deterministic.
-					if e := emit(execVerdict{x: x, err: fmt.Errorf("core: model %s: %w", m.Name, err)}); e != nil {
-						return e
-					}
-					return errVerdictStopped
+			return produce(assemblers[w], u+i, func(x *axiom.Execution) error {
+				allowed, err := m.verdictOf(x, scratches[w])
+				if e := emit(execVerdict{x: x, allowed: allowed, err: err}); e != nil || err == nil {
+					return e
 				}
-				return emit(execVerdict{x: x, allowed: allowed})
+				// The evaluation error is delivered at this execution's
+				// position in the merge, so the error a caller sees is
+				// deterministic.
+				return errVerdictStopped
 			})
 		},
 		func(_ int, v execVerdict) error {
-			if err := ctx.Err(); err != nil {
+			if err := admit(v.x); err != nil {
 				return err
-			}
-			wt := 1
-			if v.x != nil {
-				wt = v.x.Weight()
-			}
-			if count+wt > maxExecs {
-				return enum.BoundError()
 			}
 			if v.err != nil {
 				return v.err
 			}
-			idx := visits
-			visits++
-			count += wt
-			return visit(idx, v.x, v.allowed)
+			return deliver(v.x, v.allowed)
 		})
-	if errors.Is(err, errVerdictStopped) {
-		err = nil // the positional eval error was already delivered
-	}
 	return count, err
 }
 
-// forEachVerdictExecPipeline handles the single-combination shape: the one
-// combination's rf/co completions stream from the enumerating goroutine
-// into evaluation workers over a channel. Auto mode buffers the head of
-// the stream and only spins the pipeline up once the enumeration proves
-// big enough; explicit parallelism starts it at the first execution.
-func (m *Model) forEachVerdictExecPipeline(ctx context.Context, enum *axiom.Enumeration, workers int, auto bool, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	threshold := 1
-	if auto {
-		threshold = parallelMinExecs
+// verdictOf is the model's verdict-only evaluation of x, naming the model
+// in evaluation failures (multi-model sweeps need to know which model's
+// program failed).
+func (m *Model) verdictOf(x *axiom.Execution, sc *cat.Scratch) (bool, error) {
+	allowed, err := m.prog.RunExecVerdict(x, sc)
+	if err != nil {
+		return false, fmt.Errorf("core: model %s: %w", m.Name, err)
 	}
-
-	tr := obs.FromContext(ctx)
-	ch := make(chan execItem, 2*workers)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	workerErr := make(chan error, 1)
-	startWorkers := func() {
-		go func() {
-			workerErr <- pool.ForEach(workers, workers, func(int) error {
-				sc := m.NewScratch()
-				sc.SetTracer(tr)
-				for it := range ch {
-					if err := m.checkExec(sc, it.idx, it.x, visit); err != nil {
-						halt()
-						return err
-					}
-				}
-				return nil
-			})
-		}()
-	}
-	send := func(idx int, x *axiom.Execution) error {
-		select {
-		case ch <- execItem{idx: idx, x: x}:
-			return nil
-		case <-stop:
-			return errVerdictStopped
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-
-	var head []*axiom.Execution
-	count, visits, started := 0, 0, false
-	enumErr := enum.StreamCtx(ctx, func(x *axiom.Execution) error {
-		idx := visits
-		visits++
-		count += x.Weight()
-		if !started {
-			head = append(head, x)
-			if len(head) < threshold {
-				return nil
-			}
-			startWorkers()
-			started = true
-			for i, b := range head {
-				if err := send(i, b); err != nil {
-					return err
-				}
-			}
-			head = nil
-			return nil
-		}
-		return send(idx, x)
-	})
-
-	if !started {
-		// The whole enumeration fit under the threshold (or failed before
-		// reaching it): check the buffered head serially.
-		if enumErr != nil {
-			return count, enumErr
-		}
-		sc := m.NewScratch()
-		sc.SetTracer(tr)
-		for i, x := range head {
-			if err := m.checkExec(sc, i, x, visit); err != nil {
-				return count, err
-			}
-		}
-		return count, nil
-	}
-
-	close(ch)
-	werr := <-workerErr
-	if enumErr != nil && !errors.Is(enumErr, errVerdictStopped) {
-		return count, enumErr
-	}
-	if werr != nil {
-		return count, werr
-	}
-	return count, nil
+	return allowed, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
@@ -20,14 +19,11 @@ type verdictRecord struct {
 
 func collectVerdicts(t *testing.T, m *Model, test *litmus.Test, parallelism int) []verdictRecord {
 	t.Helper()
-	var mu sync.Mutex
 	var out []verdictRecord
 	weighted := 0
-	n, err := m.ForEachVerdict(test, parallelism, func(i int, x *axiom.Execution, allowed bool) error {
-		mu.Lock()
+	n, err := m.ForEachVerdict(context.Background(), test, Opts{Parallelism: parallelism}, func(i int, x *axiom.Execution, allowed bool) error {
 		out = append(out, verdictRecord{idx: i, exec: x.String(), allowed: allowed})
 		weighted += x.Weight()
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -39,37 +35,24 @@ func collectVerdicts(t *testing.T, m *Model, test *litmus.Test, parallelism int)
 	return out
 }
 
-// TestForEachVerdictComboOrderExact is the differential for the parallel
-// producer: under combo fan-out (explicit parallelism, multi-combination
-// tests) and chunk fan-out (single-combination tests whose rf cross product
-// splits, like soloChunkTest) visit must receive exactly the serial stream —
-// same executions, same verdicts, same indices, in the same order — not
-// merely the same multiset. stressTest(3) has 64 path combinations, so
-// parallelism 4 exercises the ordered merge across many worker/combination
-// boundaries; soloChunkTest has one combination with four rf chunks, so the
-// same parallelisms exercise the chunked merge.
+// TestForEachVerdictComboOrderExact is the differential for the ordered
+// pipeline: at every parallelism, auto included, visit must receive
+// exactly the serial stream — same executions, same verdicts, same
+// indices, in the same order — not merely the same multiset. stressTest(3)
+// has 64 path combinations, so explicit parallelism exercises the ordered
+// merge across many worker/combination boundaries; fencedStressTest(2)
+// has 16 combinations and crosses the auto threshold mid-stream, so auto
+// mode hands over from the serial prefix to the fan-out; soloChunkTest has
+// one combination with four rf chunks, so the same parallelisms exercise
+// the chunked merge.
 func TestForEachVerdictComboOrderExact(t *testing.T) {
 	tests := append([]*litmus.Test{}, litmus.PaperTests()...)
-	tests = append(tests, stressTest(3), soloChunkTest())
+	tests = append(tests, stressTest(3), fencedStressTest(2), soloChunkTest())
 	models := []*Model{PTX(), SC()}
 	for _, test := range tests {
-		// Order-exact visiting is the combo and chunk fan-outs' guarantee; a
-		// test with one combination and an unsplittable rf product would take
-		// the execution-level pipeline, whose visits are concurrent by
-		// contract.
-		en, err := axiom.Prepare(test, axiom.DefaultOpts())
-		if err != nil {
-			t.Fatalf("%s: %v", test.Name, err)
-		}
-		if en.Combos() < 2 {
-			var probe axiom.Assembler
-			if chunks, _ := en.ComboChunks(0, &probe); en.Combos() != 1 || chunks < 2 {
-				continue
-			}
-		}
 		for _, m := range models {
 			serial := collectVerdicts(t, m, test, 1)
-			for _, par := range []int{2, 4, 16} {
+			for _, par := range []int{0, 2, 4, 16} {
 				got := collectVerdicts(t, m, test, par)
 				if len(got) != len(serial) {
 					t.Fatalf("%s/%s: parallelism %d visited %d executions, serial %d",
@@ -94,7 +77,7 @@ func TestForEachVerdictComboCancelMidVisit(t *testing.T) {
 	test := stressTest(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	seen := 0
-	_, err := PTX().ForEachVerdictCtx(ctx, test, 4, func(int, *axiom.Execution, bool) error {
+	_, err := PTX().ForEachVerdict(ctx, test, Opts{Parallelism: 4}, func(int, *axiom.Execution, bool) error {
 		seen++
 		if seen == 4 {
 			cancel()
@@ -117,7 +100,7 @@ func TestForEachVerdictComboVisitError(t *testing.T) {
 	test := stressTest(3)
 	for _, par := range []int{1, 4} {
 		seen := 0
-		_, err := PTX().ForEachVerdict(test, par, func(i int, _ *axiom.Execution, _ bool) error {
+		_, err := PTX().ForEachVerdict(context.Background(), test, Opts{Parallelism: par}, func(i int, _ *axiom.Execution, _ bool) error {
 			seen++
 			if i == 9 {
 				return fmt.Errorf("visit %d: %w", i, boom)
@@ -133,18 +116,16 @@ func TestForEachVerdictComboVisitError(t *testing.T) {
 	}
 }
 
-// TestForEachVerdictComboParallelRace drives the combo fan-out with more
-// workers than combinations and a shared reduction, for the -race CI step.
+// TestForEachVerdictComboParallelRace drives the fan-out with more
+// workers than cores and an unlocked reduction in visit, for the -race CI
+// step: visit runs serially, so the reduction needs no lock.
 func TestForEachVerdictComboParallelRace(t *testing.T) {
 	test := stressTest(3)
-	var mu sync.Mutex
 	allowed := 0
-	n, err := PTX().ForEachVerdict(test, 8, func(_ int, _ *axiom.Execution, ok bool) error {
-		mu.Lock()
+	n, err := PTX().ForEachVerdict(context.Background(), test, Opts{Parallelism: 8}, func(_ int, _ *axiom.Execution, ok bool) error {
 		if ok {
 			allowed++
 		}
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -155,5 +136,17 @@ func TestForEachVerdictComboParallelRace(t *testing.T) {
 	}
 	if allowed == 0 {
 		t.Fatal("stress-3w: no allowed executions")
+	}
+}
+
+// TestForEachVerdictRejectsStatic: a static decision has no executions to
+// visit, so Opts.Static is an error and visit never runs.
+func TestForEachVerdictRejectsStatic(t *testing.T) {
+	_, err := PTX().ForEachVerdict(context.Background(), litmus.CoRR(), Opts{Static: true}, func(int, *axiom.Execution, bool) error {
+		t.Error("visit called under Opts.Static")
+		return nil
+	})
+	if err == nil {
+		t.Fatal("ForEachVerdict accepted Opts.Static")
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -74,7 +75,7 @@ func ModelValidationMemo(memo *campaign.Memo, maxTests, runsPerChip int, seed in
 	// of every test, in parallel on the pool. The memo is shared with the
 	// aggregation phase, which then hits the cache only.
 	if err := campaign.ForEach(len(tests), parallelism, func(i int) error {
-		if _, err := memo.Analyse(m, tests[i]); err != nil {
+		if _, err := memo.Analyse(context.TODO(), m, tests[i], core.Opts{Parallelism: 1}); err != nil {
 			return fmt.Errorf("experiments: %s: %w", tests[i].Name, err)
 		}
 		return nil
@@ -100,7 +101,7 @@ func ModelValidationMemo(memo *campaign.Memo, maxTests, runsPerChip int, seed in
 	// Phase 3: aggregate in matrix order, so the report is deterministic
 	// whatever the completion order was.
 	for ti, test := range tests {
-		info, err := memo.Analyse(m, test)
+		info, err := memo.Analyse(context.TODO(), m, test, core.Opts{Parallelism: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -147,11 +148,11 @@ func SorensenDivergence() (string, error) {
 // pointer), the cached verdict is reused.
 func SorensenDivergenceMemo(memo *campaign.Memo) (string, error) {
 	test := litmus.LB(litmus.FenceCTA)
-	ptxV, err := memo.Verdict(core.PTX(), test)
+	ptxV, err := memo.Verdict(context.TODO(), core.PTX(), test, core.Opts{})
 	if err != nil {
 		return "", err
 	}
-	opV, err := memo.Verdict(core.SorensenOp(), test)
+	opV, err := memo.Verdict(context.TODO(), core.SorensenOp(), test, core.Opts{})
 	if err != nil {
 		return "", err
 	}

@@ -10,11 +10,11 @@
 //
 //	tr := obs.New(obs.NewID())
 //	ctx = obs.NewContext(ctx, tr)
-//	v, err := core.JudgeCtx(ctx, model, test, par)
+//	v, err := core.JudgeWith(ctx, model, test, core.Opts{Parallelism: par})
 //	fmt.Print(tr.Snapshot().PhaseTable())
 //
 // A Trace aggregates monotonic per-phase timers and producer counters
-// (atomics, safe under the fan-out regimes), plus a span tree recording
+// (atomics, safe under the parallel fan-out), plus a span tree recording
 // the request's structural decomposition. Phase timers are attributed
 // exclusively — enumerate excludes time spent inside the yield, eval is
 // the compiled-program run, merge is the visit callback — so on a serial

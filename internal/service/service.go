@@ -17,7 +17,7 @@
 // pass through a bounded in-flight budget layered over the worker pool;
 // saturation answers 429 with a Retry-After hint rather than queueing
 // unboundedly. Request-scoped contexts propagate into candidate
-// enumeration (axiom.EnumerateStreamCtx) and campaign streaming
+// enumeration (axiom.Enumeration.StreamCtx) and campaign streaming
 // (campaign.StreamCtx), so an abandoned request stops consuming the pool
 // mid-stream.
 package service
@@ -585,15 +585,8 @@ func (s *Server) cachedLookup(ctx context.Context, key string, decode func([]byt
 func (s *Server) judgeOne(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int, static bool) (JudgeResult, error) {
 	fp := t.Fingerprint()
 	if static {
-		if res := m.Prefilter(t); res.Verdict != analysis.Unknown {
+		if v := m.StaticVerdict(t); v != nil {
 			s.met.staticSkipped.Add(1)
-			v := &core.Verdict{
-				Test:          t,
-				Model:         m.Name,
-				Observable:    res.Verdict == analysis.Allowed,
-				StaticSkipped: true,
-				StaticReason:  res.Reason,
-			}
 			jr := JudgeResult{
 				Test:          t.Name,
 				Model:         m.Name,
@@ -601,7 +594,7 @@ func (s *Server) judgeOne(ctx context.Context, m *core.Model, t *litmus.Test, pa
 				Observable:    v.Observable,
 				Verdict:       v.String(),
 				StaticSkipped: true,
-				StaticReason:  res.Reason,
+				StaticReason:  v.StaticReason,
 			}
 			jr.Covered, jr.CoverageNote = core.Covers(t)
 			return jr, nil
@@ -609,7 +602,7 @@ func (s *Server) judgeOne(ctx context.Context, m *core.Model, t *litmus.Test, pa
 	}
 	key := "judge|" + m.Fingerprint() + "|" + fp
 	val, src, err := s.cachedLookup(ctx, key, decodeVerdict, func() (any, error) {
-		v, err := core.JudgeCtx(ctx, m, t, parallelism)
+		v, err := core.JudgeWith(ctx, m, t, core.Opts{Parallelism: parallelism})
 		if err == nil {
 			s.met.judgeCandidates.Observe(float64(v.Candidates))
 			s.met.candidatesPruned.Add(int64(v.Pruned()))
@@ -732,7 +725,7 @@ func (s *Server) repairOne(ctx context.Context, m *core.Model, t *litmus.Test, p
 	fp := t.Fingerprint()
 	key := "repair|" + m.Fingerprint() + "|" + fp
 	val, src, err := s.cachedLookup(ctx, key, decodeRepair, func() (any, error) {
-		r, err := core.RepairCtx(ctx, m, t, parallelism)
+		r, err := core.Repair(ctx, m, t, core.Opts{Parallelism: parallelism})
 		if err != nil {
 			return nil, err
 		}

@@ -1179,7 +1179,7 @@ func TestRepairEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Repair(core.PTX(), tst)
+	want, err := core.Repair(context.Background(), core.PTX(), tst, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
