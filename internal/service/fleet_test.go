@@ -372,14 +372,24 @@ func TestObjectEndpoint(t *testing.T) {
 	if resp, got := get(otherKey); resp.StatusCode != http.StatusOK || got != body {
 		t.Errorf("pushed record readback = %d, %q", resp.StatusCode, got)
 	}
-	// Garbage bodies are refused.
-	badResp, err := http.Post(objectURL(base, otherKey), "application/json", strings.NewReader("not json"))
-	if err != nil {
-		t.Fatal(err)
+	// Garbage bodies are refused: not JSON, not a record of the key's
+	// kind, or a verdict whose counts break the engine's invariants.
+	for _, bad := range []string{
+		"not json",
+		"{}",
+		`{"model":"PTX","candidates":4,"allowed":2,"witnesses":3,"observable":true}`,
+	} {
+		badResp, err := http.Post(objectURL(base, otherKey), "application/json", strings.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		badResp.Body.Close()
+		if badResp.StatusCode != http.StatusBadRequest {
+			t.Errorf("garbage POST %s = %d, want 400", bad, badResp.StatusCode)
+		}
 	}
-	badResp.Body.Close()
-	if badResp.StatusCode != http.StatusBadRequest {
-		t.Errorf("garbage POST = %d, want 400", badResp.StatusCode)
+	if resp, got := get(otherKey); resp.StatusCode != http.StatusOK || got != body {
+		t.Errorf("refused POSTs changed the stored record: %d, %q", resp.StatusCode, got)
 	}
 }
 

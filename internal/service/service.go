@@ -196,7 +196,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// / SetPeers (re)configures the replica fleet: self's advertised base URL
+// SetPeers (re)configures the replica fleet: self's advertised base URL
 // and the peer list (self is added if absent). Safe to call while
 // serving; in-flight lookups finish on the ring they started with.
 func (s *Server) SetPeers(self string, peers []string) {
@@ -470,113 +470,10 @@ func traceInfo(tr *obs.Trace) *TraceInfo {
 	return ti
 }
 
-// cachedLookup answers key through every layer of the fleet cache:
-// memory LRU (with singleflight — concurrent requesters join one
-// leader), then the persistent store, then the key's owning peer under
-// the consistent-hash ring, then compute. The singleflight entry is held
-// across the disk and remote paths too, so N concurrent local requests
-// for a remote key cost one peer fetch, not N. A freshly computed record
-// is persisted locally and replicated to its owner; a peer-fetched one
-// is persisted locally (the disk is a cache of permanent facts — warming
-// it is always sound). Peer failure of any kind degrades to local
-// compute: a down replica costs latency, never availability.
-func (s *Server) cachedLookup(ctx context.Context, key string, decode func([]byte) (any, error), compute func() (any, error)) (any, source, error) {
-	tr := obs.FromContext(ctx)
-	var lookupStart time.Time
-	if tr.Enabled() {
-		lookupStart = time.Now()
-	}
-	src := srcCompute
-	var computeDur time.Duration
-	val, cached, err := s.cache.Do(ctx, key, func() (any, error) {
-		if s.store != nil {
-			if b, ok := s.store.Get(key); ok {
-				if v, derr := decode(b); derr == nil {
-					src = srcDisk
-					s.met.diskHits.Add(1)
-					return v, nil
-				}
-				// Undecodable record: fall through and recompute; the Put
-				// below supersedes it (append-only, newest record wins).
-			}
-		}
-		r := s.ring.Load()
-		var owner string
-		if r != nil {
-			if o := r.owner(key); o != "" && o != r.self {
-				owner = o
-			}
-		}
-		if owner != "" {
-			switch b, perr := s.peerFetch(ctx, owner, key); {
-			case perr != nil:
-				s.met.peerErrors.Add(1)
-			case b == nil:
-				s.met.peerMisses.Add(1)
-			default:
-				if v, derr := decode(b); derr == nil {
-					src = srcPeer
-					s.met.peerHits.Add(1)
-					if s.store != nil {
-						if serr := s.store.Put(key, b); serr != nil {
-							s.logf("store: %v", serr)
-						}
-					}
-					return v, nil
-				}
-				s.met.peerErrors.Add(1)
-			}
-		}
-		t0 := time.Now()
-		v, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		d := time.Since(t0)
-		computeDur = d
-		s.met.computations.Add(1)
-		s.met.computeSeconds.Observe(d.Seconds())
-		s.retry.observe(d)
-		if b, eerr := encodeRecord(key, v); eerr == nil {
-			if s.store != nil {
-				if serr := s.store.Put(key, b); serr != nil {
-					s.logf("store: %v", serr)
-				}
-			}
-			if owner != "" {
-				if perr := s.peerPush(ctx, owner, key, b); perr != nil {
-					s.met.peerErrors.Add(1)
-				} else {
-					s.met.peerPushes.Add(1)
-				}
-			}
-		}
-		return v, nil
-	})
-	if err != nil {
-		return nil, srcCompute, err
-	}
-	if cached {
-		src = srcMemory
-	}
-	s.met.lookupSource[src].Add(1)
-	if tr.Enabled() {
-		// The lookup phase is everything this call spent that was not the
-		// pipeline compute itself: the memory/disk/peer tier walk, record
-		// encode/persist/replicate overhead, and — for a singleflight
-		// joiner — the wait for the in-flight leader.
-		if d := time.Since(lookupStart) - computeDur; d > 0 {
-			tr.AddPhase(obs.PhaseLookup, d)
-		}
-	}
-	return val, src, nil
-}
-
 // judgeOne produces one test's JudgeResult through the fleet cache. The
-// verdict line is rebuilt from the cached counts under the request's test
-// name, so a hit from a differently-labelled identical test — or a disk/
-// peer record, which carries no name at all — still renders this
-// request's name.
+// verdict line is rendered from the record's counts under the request's
+// test, whichever tier answered, so a record computed for a
+// differently-labelled identical test still renders this request's name.
 //
 // With static set, the prefilter runs first: a decided verdict skips both
 // the cache and the enumeration — static decisions cost microseconds, so
@@ -584,58 +481,40 @@ func (s *Server) cachedLookup(ctx context.Context, key string, decode func([]byt
 // results cheaper to recompute than to look up.
 func (s *Server) judgeOne(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int, static bool) (JudgeResult, error) {
 	fp := t.Fingerprint()
+	res := JudgeResult{Test: t.Name, Model: m.Name, Fingerprint: fp}
+	res.Covered, res.CoverageNote = core.Covers(t)
 	if static {
 		if v := m.StaticVerdict(t); v != nil {
 			s.met.staticSkipped.Add(1)
-			jr := JudgeResult{
-				Test:          t.Name,
-				Model:         m.Name,
-				Fingerprint:   fp,
-				Observable:    v.Observable,
-				Verdict:       v.String(),
-				StaticSkipped: true,
-				StaticReason:  v.StaticReason,
-			}
-			jr.Covered, jr.CoverageNote = core.Covers(t)
-			return jr, nil
+			res.Observable, res.Verdict = v.Observable, v.String()
+			res.StaticSkipped, res.StaticReason = true, v.StaticReason
+			return res, nil
 		}
 	}
-	key := "judge|" + m.Fingerprint() + "|" + fp
-	val, src, err := s.cachedLookup(ctx, key, decodeVerdict, func() (any, error) {
+	rec, src, err := cachedLookup(s, ctx, judgeKey(m, fp), func() (*verdictRecord, error) {
 		v, err := core.JudgeWith(ctx, m, t, core.Opts{Parallelism: parallelism})
-		if err == nil {
-			s.met.judgeCandidates.Observe(float64(v.Candidates))
-			s.met.candidatesPruned.Add(int64(v.Pruned()))
+		if err != nil {
+			return nil, err
 		}
-		return v, err
+		s.met.judgeCandidates.Observe(float64(v.Candidates))
+		s.met.candidatesPruned.Add(int64(v.Pruned()))
+		return &verdictRecord{
+			Model:      v.Model,
+			Candidates: v.Candidates,
+			Allowed:    v.Allowed,
+			Witnesses:  v.Witnesses,
+			Observable: v.Observable,
+			Pruned:     v.Pruned(),
+		}, nil
 	})
-	cached := src != srcCompute
 	if err != nil {
 		return JudgeResult{}, err
 	}
-	v := val.(*core.Verdict)
-	if v.Test != t {
-		// Content-addressed cache hit from an identically-shaped test under
-		// another label: render this request's own name (counts and witness
-		// are identical by construction).
-		clone := *v
-		clone.Test = t
-		v = &clone
-	}
-	res := JudgeResult{
-		Test:        t.Name,
-		Model:       m.Name,
-		Fingerprint: fp,
-		Candidates:  v.Candidates,
-		Allowed:     v.Allowed,
-		Witnesses:   v.Witnesses,
-		Pruned:      v.Pruned(),
-		Observable:  v.Observable,
-		Cached:      cached,
-		Source:      src.String(),
-		Verdict:     v.String(),
-	}
-	res.Covered, res.CoverageNote = core.Covers(t)
+	v := core.Verdict{Test: t, Model: rec.Model, Candidates: rec.Candidates,
+		Allowed: rec.Allowed, Witnesses: rec.Witnesses, Observable: rec.Observable}
+	res.Candidates, res.Allowed, res.Witnesses, res.Pruned = rec.Candidates, rec.Allowed, rec.Witnesses, rec.Pruned
+	res.Observable, res.Verdict = rec.Observable, v.String()
+	res.Cached, res.Source = src != srcCompute, src.String()
 	return res, nil
 }
 
@@ -721,10 +600,11 @@ func (s *Server) handleJudge(w http.ResponseWriter, r *http.Request) {
 // differently-labelled identical test (or a name-free disk/peer record)
 // therefore still renders under this request's own test, and the rendered
 // source is byte-identical to what gpulint -fix emits for the same test.
-func (s *Server) repairOne(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (RepairResponse, error) {
+// The repaired test comes back too (nil when no repair applies), for
+// sweeps to run.
+func (s *Server) repairOne(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (RepairResponse, *litmus.Test, error) {
 	fp := t.Fingerprint()
-	key := "repair|" + m.Fingerprint() + "|" + fp
-	val, src, err := s.cachedLookup(ctx, key, decodeRepair, func() (any, error) {
+	rec, src, err := cachedLookup(s, ctx, repairKey(m, fp), func() (*repairRecord, error) {
 		r, err := core.Repair(ctx, m, t, core.Opts{Parallelism: parallelism})
 		if err != nil {
 			return nil, err
@@ -739,9 +619,8 @@ func (s *Server) repairOne(ctx context.Context, m *core.Model, t *litmus.Test, p
 		}, nil
 	})
 	if err != nil {
-		return RepairResponse{}, err
+		return RepairResponse{}, nil, err
 	}
-	rec := val.(*repairRecord)
 	rr := analysis.RepairResult{Verified: rec.Verified, Actions: rec.Actions, Reason: rec.Reason}
 	resp := RepairResponse{
 		Test:           t.Name,
@@ -756,18 +635,18 @@ func (s *Server) repairOne(ctx context.Context, m *core.Model, t *litmus.Test, p
 		Cached:         src != srcCompute,
 		Source:         src.String(),
 	}
+	var repaired *litmus.Test
 	if rec.Verified && len(rec.Actions) > 0 {
-		repaired, err := analysis.ApplyRepair(t, rec.Actions)
-		if err != nil {
+		if repaired, err = analysis.ApplyRepair(t, rec.Actions); err != nil {
 			// The key is content-addressed on the test fingerprint, so a
 			// record whose actions no longer apply means the addressing was
 			// violated somewhere; surface it rather than guessing.
-			return RepairResponse{}, fmt.Errorf("service: re-applying cached repair: %w", err)
+			return RepairResponse{}, nil, fmt.Errorf("service: re-applying cached repair: %w", err)
 		}
 		resp.Repaired = repaired.String()
 		resp.RepairedFingerprint = repaired.Fingerprint()
 	}
-	return resp, nil
+	return resp, repaired, nil
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
@@ -787,7 +666,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	resp, err := s.repairOne(ctx, m, t, s.clampParallelism(req.Parallelism))
+	resp, _, err := s.repairOne(ctx, m, t, s.clampParallelism(req.Parallelism))
 	if err != nil {
 		s.writeError(w, judgeStatus(err), err)
 		return
@@ -804,6 +683,25 @@ func judgeStatus(err error) int {
 		return 499
 	}
 	return http.StatusInternalServerError
+}
+
+// runOne produces t's harness outcome under cfg through the fleet cache,
+// rendered from the record under t whichever tier answered. /v1/run and
+// every sweep cell — original or repaired test — run through here, so
+// they share one cache entry per (test content, chip, incant, runs,
+// seed).
+func (s *Server) runOne(ctx context.Context, t *litmus.Test, cfg harness.Config) (*harness.Outcome, source, error) {
+	rec, src, err := cachedLookup(s, ctx, runKey(t.Fingerprint(), cfg), func() (*outcomeRecord, error) {
+		out, err := harness.RunCtx(ctx, t, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &outcomeRecord{Histogram: out.Histogram, Matches: out.Matches, Runs: out.Runs}, nil
+	})
+	if err != nil {
+		return nil, src, err
+	}
+	return &harness.Outcome{Test: t, Config: cfg, Histogram: rec.Histogram, Matches: rec.Matches, Runs: rec.Runs}, src, nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -835,32 +733,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		runs = harness.DefaultRuns
 	}
 
-	// Outcomes are deterministic in (test content, chip, incant, runs,
-	// seed) and independent of parallelism, so parallelism stays out of
-	// the key.
-	key := fmt.Sprintf("run|%s|%s|%s|%d|%d", t.Fingerprint(), profile.ShortName, inc, runs, req.Seed)
-	cellCfg := harness.Config{Chip: profile, Incant: inc, Runs: runs, Seed: req.Seed}
-	decode := func(b []byte) (any, error) { return decodeOutcome(b, cellCfg) }
-	val, src, err := s.cachedLookup(ctx, key, decode, func() (any, error) {
-		cfg := cellCfg
-		cfg.Parallelism = s.clampParallelism(req.Parallelism)
-		return harness.RunCtx(ctx, t, cfg)
+	out, src, err := s.runOne(ctx, t, harness.Config{
+		Chip:        profile,
+		Incant:      inc,
+		Runs:        runs,
+		Seed:        req.Seed,
+		Parallelism: s.clampParallelism(req.Parallelism),
 	})
 	if err != nil {
 		s.writeError(w, judgeStatus(err), err)
 		return
 	}
 	s.met.foldTrace(tr)
-	cached := src != srcCompute
-	out := val.(*harness.Outcome)
-	if out.Test != t {
-		// Cache hit from a content-identical test under another label:
-		// re-render the histogram text under this request's test (the
-		// condition is identical by construction, only the name differs).
-		clone := *out
-		clone.Test = t
-		out = &clone
-	}
 	s.writeJSON(w, http.StatusOK, RunResponse{
 		Test:      t.Name,
 		Chip:      profile.ShortName,
@@ -872,9 +756,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Per100k:   out.Per100k(),
 		Observed:  out.Observed(),
 		Output:    out.String(),
-		Cached:    cached,
+		Cached:    src != srcCompute,
 		Source:    src.String(),
 	})
+}
+
+// sweepCell is what a sweep row needs about its cell beyond the outcome.
+// The campaign worker running the cell writes it (through RunJob and the
+// trace sink); the streaming loop reads it once the cell's result
+// arrives, which the campaign delivers after the worker is done.
+type sweepCell struct {
+	src      source           // cache tier that answered a run cell
+	static   string           // skip provenance ("unsat"); empty for run cells
+	elapsed  int64            // worker wall nanos (traced sweeps)
+	repaired *harness.Outcome // the repaired test's outcome (repair sweeps)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -915,91 +810,57 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Repair {
 		ptx := s.models["ptx"]
 		for _, t := range spec.Tests {
-			rr, err := s.repairOne(ctx, ptx, t, spec.Parallelism)
+			rr, rt, err := s.repairOne(ctx, ptx, t, spec.Parallelism)
 			if err != nil {
 				s.writeError(w, judgeStatus(err), err)
 				return
 			}
 			repairs[t] = &rr
-
-			if rr.Verified && len(rr.Actions) > 0 {
-				rt, err := analysis.ApplyRepair(t, rr.Actions)
-				if err != nil {
-					s.writeError(w, http.StatusInternalServerError, err)
-					return
-				}
+			if rt != nil {
 				repairedTests[t] = rt
 			}
 		}
 	}
 
-	// Route every cell through the content-addressed cache under exactly
-	// the /v1/run key shape, so repeated or overlapping sweeps — and run
-	// requests for cells a sweep already computed — cost one harness
-	// execution per distinct (test content, chip, incantation, runs, seed).
-	var cachedMu sync.Mutex
-	cachedCells := make(map[int]bool)
-	staticCells := make(map[int]string)             // cell index -> skip provenance
-	sourceCells := make(map[int]string)             // cell index -> resolving cache tier
-	elapsedCells := make(map[int]int64)             // cell index -> worker wall nanos (traced sweeps)
-	repairedCells := make(map[int]*harness.Outcome) // cell index -> repaired test's outcome (repair sweeps)
+	// Every run cell goes through runOne, so repeated or overlapping
+	// sweeps — and run requests for cells a sweep already computed — cost
+	// one harness execution per distinct (test content, chip, incantation,
+	// runs, seed).
+	var cellsMu sync.Mutex
+	cells := make(map[int]*sweepCell)
+	cell := func(index int) *sweepCell {
+		cellsMu.Lock()
+		defer cellsMu.Unlock()
+		c := cells[index]
+		if c == nil {
+			c = new(sweepCell)
+			cells[index] = c
+		}
+		return c
+	}
 	spec.RunJob = func(ctx context.Context, j campaign.Job, runPar int) (*harness.Outcome, error) {
+		c := cell(j.Index)
 		if unsat[j.Test] {
 			// Skipped cell: no harness run, no cache traffic. The outcome
 			// carries zero matches and no histogram; the row records the
 			// provenance instead of an Output.
 			s.met.staticSkipped.Add(1)
-			cachedMu.Lock()
-			staticCells[j.Index] = "unsat"
-			cachedMu.Unlock()
+			c.static = "unsat"
 			return &harness.Outcome{
 				Test:   j.Test,
 				Config: harness.Config{Chip: j.Chip, Incant: j.Incant, Seed: j.Seed},
 			}, nil
 		}
-		// runCell routes one (test, cell) execution through the content-
-		// addressed cache under the /v1/run key shape. The original and —
-		// on repair sweeps — the repaired program both go through here, so
-		// repaired-cell runs are cached and deduplicated like any other.
-		runCell := func(t *litmus.Test) (*harness.Outcome, source, error) {
-			key := fmt.Sprintf("run|%s|%s|%s|%d|%d", t.Fingerprint(), j.Chip.ShortName, j.Incant, j.Runs, j.Seed)
-			cellCfg := harness.Config{Chip: j.Chip, Incant: j.Incant, Runs: j.Runs, Seed: j.Seed}
-			decode := func(b []byte) (any, error) { return decodeOutcome(b, cellCfg) }
-			val, src, err := s.cachedLookup(ctx, key, decode, func() (any, error) {
-				cfg := cellCfg
-				cfg.Parallelism = runPar
-				return harness.RunCtx(ctx, t, cfg)
-			})
-			if err != nil {
-				return nil, src, err
-			}
-			out := val.(*harness.Outcome)
-			if out.Test != t {
-				// Cache hit from a content-identical test under another label:
-				// re-render under this cell's test (outcome content is identical
-				// by construction, only the name differs).
-				clone := *out
-				clone.Test = t
-				out = &clone
-			}
-			return out, src, nil
-		}
-		out, src, err := runCell(j.Test)
+		cfg := harness.Config{Chip: j.Chip, Incant: j.Incant, Runs: j.Runs, Seed: j.Seed, Parallelism: runPar}
+		out, src, err := s.runOne(ctx, j.Test, cfg)
 		if err != nil {
 			return nil, err
 		}
-		cachedMu.Lock()
-		cachedCells[j.Index] = src != srcCompute
-		sourceCells[j.Index] = src.String()
-		cachedMu.Unlock()
+		c.src = src
 		if rt := repairedTests[j.Test]; rt != nil {
-			rout, _, err := runCell(rt)
-			if err != nil {
+			if c.repaired, _, err = s.runOne(ctx, rt, cfg); err != nil {
 				return nil, err
 			}
-			cachedMu.Lock()
-			repairedCells[j.Index] = rout
-			cachedMu.Unlock()
 		}
 		return out, nil
 	}
@@ -1032,9 +893,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			case obs.CellStart:
 				writeRow(SweepRow{Index: ev.Index, Seed: ev.Seed, Event: obs.CellStart})
 			default: // finish or error: stash the wall time for the outcome row
-				cachedMu.Lock()
-				elapsedCells[ev.Index] = int64(ev.Elapsed)
-				cachedMu.Unlock()
+				cell(ev.Index).elapsed = int64(ev.Elapsed)
 			}
 		}
 	}
@@ -1056,9 +915,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			row.Chip = res.Job.Chip.ShortName
 		}
 		row.Incant = res.Job.Incant.String()
-		cachedMu.Lock()
-		row.ElapsedNanos = elapsedCells[res.Job.Index]
-		cachedMu.Unlock()
+		c := cell(res.Job.Index)
+		row.ElapsedNanos = c.elapsed
 		switch {
 		case res.Err != nil:
 			row.Error = res.Err.Error()
@@ -1066,15 +924,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			row.Matches = res.Outcome.Matches
 			row.Per100k = res.Outcome.Per100k()
 			row.Observed = res.Outcome.Observed()
-			cachedMu.Lock()
-			row.Cached = cachedCells[res.Job.Index]
-			row.Static = staticCells[res.Job.Index]
-			if row.Static == "" {
-				row.Source = sourceCells[res.Job.Index]
-			}
-			cachedMu.Unlock()
-			if row.Static == "" {
-				// Skipped cells produced no histogram; Output stays empty.
+			row.Static = c.static
+			if c.static == "" {
+				// Skipped cells produced no histogram and consulted no cache.
+				row.Cached = c.src != srcCompute
+				row.Source = c.src.String()
 				row.Output = res.Outcome.String()
 			}
 			if rr := repairs[res.Job.Test]; rr != nil {
@@ -1083,10 +937,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 					row.Repair = "unneeded"
 				case rr.Verified:
 					row.Repair = "verified"
-					cachedMu.Lock()
-					rout := repairedCells[res.Job.Index]
-					cachedMu.Unlock()
-					if rout != nil {
+					if rout := c.repaired; rout != nil {
 						row.RepairedMatches = rout.Matches
 						row.RepairedPer100k = rout.Per100k()
 						row.RepairedObserved = rout.Observed()
@@ -1160,42 +1011,39 @@ func (s *Server) sweepSpec(ctx context.Context, req SweepRequest) (campaign.Spec
 // replica's singleflight instead of duplicating the enumeration.
 func (s *Server) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
-	if !validRecordKey(key) {
+	if !validKey(key) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad object key %q", key))
 		return
 	}
-	if v, ok, err := s.cache.Peek(r.Context(), key); err == nil && ok {
-		if b, eerr := encodeRecord(key, v); eerr == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			if _, werr := w.Write(b); werr != nil {
-				s.met.encodeErrors.Add(1)
-				s.logf("object write: %v", werr)
-			}
-			return
-		}
+	var b []byte
+	if rec, ok, err := s.cache.Peek(r.Context(), key); err == nil && ok {
+		// Records are plain structs of strings, numbers and maps: Marshal
+		// cannot fail, and a nil b would only fall through to the store.
+		b, _ = json.Marshal(rec)
 	}
-	if s.store != nil {
-		if b, ok := s.store.Get(key); ok {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			if _, werr := w.Write(b); werr != nil {
-				s.met.encodeErrors.Add(1)
-				s.logf("object write: %v", werr)
-			}
-			return
+	if b == nil && s.store != nil {
+		b, _ = s.store.Get(key) // nil on a miss
+	}
+	if b != nil {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		if _, werr := w.Write(b); werr != nil {
+			s.met.encodeErrors.Add(1)
+			s.logf("object write: %v", werr)
 		}
+		return
 	}
 	s.writeError(w, http.StatusNotFound, fmt.Errorf("service: no record for key"))
 }
 
 // handleObjectPut accepts a record pushed by the replica that computed
-// it (this replica owns the key under the ring). Records are persisted
-// to the segment store; without one they are acknowledged and dropped —
-// the pusher keeps its local copy either way.
+// it (this replica owns the key under the ring). A body that is not a
+// valid record of the key's kind is refused; a valid one is persisted to
+// the segment store byte for byte. Without a store records are
+// acknowledged and dropped — the pusher keeps its local copy either way.
 func (s *Server) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
-	if !validRecordKey(key) {
+	if !validKey(key) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad object key %q", key))
 		return
 	}
@@ -1204,8 +1052,12 @@ func (s *Server) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(body) == 0 || len(body) > maxObjectBytes || !json.Valid(body) {
+	if len(body) > maxObjectBytes {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: object body must be a JSON record ≤ %d bytes", maxObjectBytes))
+		return
+	}
+	if _, err := decodeRecord(key, body); err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: invalid record for key %q: %w", key, err))
 		return
 	}
 	if s.store != nil {

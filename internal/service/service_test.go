@@ -973,47 +973,6 @@ func TestJudgeReportsPruning(t *testing.T) {
 	}
 }
 
-// TestVerdictRecordPrunedRoundTrip pins the store/wire codec for the
-// pruned share: a verdict round-trips through its record with Visited
-// reconstructed from Candidates - Pruned; records written before pruning
-// existed (no pruned field) decode to "nothing pruned" (Visited =
-// Candidates); and a record claiming more pruned than candidates is
-// rejected as malformed.
-func TestVerdictRecordPrunedRoundTrip(t *testing.T) {
-	vd := &core.Verdict{Model: "PTX", Candidates: 24, Allowed: 18, Witnesses: 6, Observable: true, Visited: 4}
-	rec, err := encodeRecord("judge|k", vd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeVerdict(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := got.(*core.Verdict)
-	if dec.Visited != 4 || dec.Pruned() != 20 || dec.Candidates != 24 {
-		t.Errorf("decoded verdict = visited %d, pruned %d of %d; want 4, 20, 24", dec.Visited, dec.Pruned(), dec.Candidates)
-	}
-
-	legacy := []byte(`{"model":"PTX","candidates":24,"allowed":18,"witnesses":6,"observable":true}`)
-	got, err = decodeVerdict(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec = got.(*core.Verdict)
-	if dec.Visited != 24 || dec.Pruned() != 0 {
-		t.Errorf("legacy record decoded to visited %d, pruned %d; want 24, 0", dec.Visited, dec.Pruned())
-	}
-
-	for _, bad := range []string{
-		`{"model":"PTX","candidates":4,"pruned":5}`,
-		`{"model":"PTX","candidates":4,"pruned":-1}`,
-	} {
-		if _, err := decodeVerdict([]byte(bad)); err == nil {
-			t.Errorf("malformed record %s must be rejected", bad)
-		}
-	}
-}
-
 // TestJudgeStaticSkipsEnumeration: with static opted in, a statically
 // decided verdict bypasses both the enumeration and the cache (static
 // decisions are cheaper to recompute than to look up), agrees with the

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -11,10 +10,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"github.com/weakgpu/gpulitmus/internal/analysis"
-	"github.com/weakgpu/gpulitmus/internal/core"
-	"github.com/weakgpu/gpulitmus/internal/harness"
 )
 
 // ---- consistent-hash ring ----------------------------------------------
@@ -163,151 +158,4 @@ func (s *Server) peerPush(ctx context.Context, peer, key string, record []byte) 
 		return fmt.Errorf("service: peer %s: %s", peer, resp.Status)
 	}
 	return nil
-}
-
-// ---- record codecs ------------------------------------------------------
-
-// maxObjectBytes bounds one record on the wire and in POST /v1/object.
-const maxObjectBytes = 16 << 20
-
-// verdictRecord is the serialised form of a judge verdict: only content-
-// derived counts, nothing name- or host-dependent, so records are valid
-// forever and shareable between stores.
-type verdictRecord struct {
-	Model      string `json:"model"`
-	Candidates int    `json:"candidates"`
-	Allowed    int    `json:"allowed"`
-	Witnesses  int    `json:"witnesses"`
-	Observable bool   `json:"observable"`
-	// Pruned is the symmetry-pruned share of Candidates (core.Verdict.Pruned
-	// at compute time). Omitted when zero, so records from before pruning —
-	// or verdicts nothing was pruned from — decode identically: Pruned 0,
-	// Visited = Candidates.
-	Pruned int `json:"pruned,omitempty"`
-}
-
-// outcomeRecord is the serialised form of a harness outcome. Final-state
-// fingerprints in the histogram are test-content-derived (registers and
-// locations, no names), matching the key's content addressing.
-type outcomeRecord struct {
-	Histogram map[string]int `json:"histogram"`
-	Matches   int            `json:"matches"`
-	Runs      int            `json:"runs"`
-}
-
-// repairRecord is the serialised form of a fence-repair synthesis result:
-// the verified actions and the oracle-checked ledger, all expressed in
-// thread/instruction indices — content-derived, never name-dependent. The
-// repaired source is deliberately not stored; the serving replica
-// reconstructs it by re-applying the actions to the requesting test, which
-// is deterministic and keeps records valid under any test label.
-type repairRecord struct {
-	Model    string                   `json:"model"`
-	Verified bool                     `json:"verified"`
-	Actions  []analysis.RepairAction  `json:"actions,omitempty"`
-	Attempts []analysis.RepairAttempt `json:"attempts,omitempty"`
-	Reason   string                   `json:"reason,omitempty"`
-}
-
-// encodeRecord serialises a cached value by its key's kind prefix. It is
-// the single source of the wire/disk record format, used by the compute
-// path (persist + push) and by GET /v1/object (serve from memory).
-func encodeRecord(key string, v any) ([]byte, error) {
-	switch {
-	case strings.HasPrefix(key, "judge|"):
-		vd, ok := v.(*core.Verdict)
-		if !ok {
-			return nil, fmt.Errorf("service: judge key holds %T", v)
-		}
-		return json.Marshal(verdictRecord{
-			Model:      vd.Model,
-			Candidates: vd.Candidates,
-			Allowed:    vd.Allowed,
-			Witnesses:  vd.Witnesses,
-			Observable: vd.Observable,
-			Pruned:     vd.Pruned(),
-		})
-	case strings.HasPrefix(key, "run|"):
-		out, ok := v.(*harness.Outcome)
-		if !ok {
-			return nil, fmt.Errorf("service: run key holds %T", v)
-		}
-		return json.Marshal(outcomeRecord{
-			Histogram: out.Histogram,
-			Matches:   out.Matches,
-			Runs:      out.Runs,
-		})
-	case strings.HasPrefix(key, "repair|"):
-		rec, ok := v.(*repairRecord)
-		if !ok {
-			return nil, fmt.Errorf("service: repair key holds %T", v)
-		}
-		return json.Marshal(rec)
-	default:
-		return nil, fmt.Errorf("service: unknown record kind in key %q", key)
-	}
-}
-
-// validRecordKey guards POST /v1/object against storing arbitrary blobs:
-// only keys the service itself would look up are accepted.
-func validRecordKey(key string) bool {
-	return strings.HasPrefix(key, "judge|") || strings.HasPrefix(key, "run|") || strings.HasPrefix(key, "repair|")
-}
-
-// decodeVerdict rebuilds a *core.Verdict from a stored record. The Test
-// pointer is left nil — callers re-render under the requesting test (the
-// same clone path memory hits from differently-named tests take), and the
-// Witness execution is intentionally not persisted: the service never
-// serialises witnesses, only counts.
-func decodeVerdict(b []byte) (any, error) {
-	var rec verdictRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return nil, err
-	}
-	if rec.Model == "" || rec.Candidates < 0 || rec.Pruned < 0 || rec.Pruned > rec.Candidates {
-		return nil, fmt.Errorf("service: malformed verdict record")
-	}
-	return &core.Verdict{
-		Model:      rec.Model,
-		Candidates: rec.Candidates,
-		Allowed:    rec.Allowed,
-		Witnesses:  rec.Witnesses,
-		Observable: rec.Observable,
-		Visited:    rec.Candidates - rec.Pruned,
-	}, nil
-}
-
-// decodeRepair rebuilds a repair record. Like verdicts, the record holds
-// no test: the caller re-applies the actions to the requesting test to
-// render the repaired source.
-func decodeRepair(b []byte) (any, error) {
-	var rec repairRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return nil, err
-	}
-	if rec.Model == "" {
-		return nil, fmt.Errorf("service: malformed repair record")
-	}
-	return &rec, nil
-}
-
-// decodeOutcome rebuilds a *harness.Outcome from a stored record under
-// the requesting cell's configuration (chip, incantation, seed — all part
-// of the cache key, so the reconstruction is exact). Test stays nil for
-// the caller's re-render path.
-func decodeOutcome(b []byte, cfg harness.Config) (any, error) {
-	var rec outcomeRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return nil, err
-	}
-	if rec.Histogram == nil || rec.Runs <= 0 {
-		return nil, fmt.Errorf("service: malformed outcome record")
-	}
-	cfg.Runs = rec.Runs
-	return &harness.Outcome{
-		Config:    cfg,
-		Histogram: rec.Histogram,
-		Matches:   rec.Matches,
-		Runs:      rec.Runs,
-	}, nil
 }
