@@ -316,6 +316,21 @@ func BenchmarkSimulatorIteration(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineIteration is BenchmarkSimulatorIteration on one reused
+// machine, the way harness workers run: per-iteration cost only.
+func BenchmarkMachineIteration(b *testing.B) {
+	m, err := sim.NewMachine(litmus.MP(litmus.NoFence), chip.GTXTitan, chip.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := m.Run(int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkModelJudgement measures the herd-style pipeline (enumeration +
 // model evaluation) on the paper's tests.
 func BenchmarkModelJudgement(b *testing.B) {

@@ -12,8 +12,8 @@ import (
 	"strings"
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
+	"github.com/weakgpu/gpulitmus/internal/harness"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
-	"github.com/weakgpu/gpulitmus/internal/sim"
 )
 
 // App is an application study: a program whose Exists condition witnesses
@@ -26,33 +26,34 @@ type App struct {
 
 // Report counts incorrect outcomes over many runs.
 type Report struct {
-	App        string
-	Chip       string
-	Runs       int
-	Violations int
+	App     string
+	Chip    string
+	Runs    int
+	Matches int // runs whose final state witnessed an incorrect result
 }
 
 // String summarises the report.
 func (r *Report) String() string {
 	verdict := "correct in all runs"
-	if r.Violations > 0 {
-		verdict = fmt.Sprintf("INCORRECT in %d/%d runs", r.Violations, r.Runs)
+	if r.Matches > 0 {
+		verdict = fmt.Sprintf("INCORRECT in %d/%d runs", r.Matches, r.Runs)
 	}
 	return fmt.Sprintf("%s on %s: %s", r.App, r.Chip, verdict)
 }
 
-// Run executes the app and counts violations.
+// Run executes the app runs times through the harness, serially with
+// seeds seed, seed+1, ..., and counts the runs that witness an incorrect
+// result. Zero runs give an empty report.
 func (a *App) Run(p *chip.Profile, inc chip.Incant, runs int, seed int64) (*Report, error) {
 	rep := &Report{App: a.Name, Chip: p.ShortName, Runs: runs}
-	for i := 0; i < runs; i++ {
-		res, err := sim.Run(a.Test, p, inc, seed+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		if a.Test.Exists.Eval(res.State) {
-			rep.Violations++
-		}
+	if runs <= 0 {
+		return rep, nil
 	}
+	o, err := harness.Run(a.Test, harness.Config{Chip: p, Incant: inc, Runs: runs, Seed: seed, Parallelism: 1})
+	if err != nil {
+		return nil, err
+	}
+	rep.Matches = o.Matches
 	return rep, nil
 }
 

@@ -14,7 +14,7 @@ func TestDotProductBrokenOnTitan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Violations == 0 {
+	if rep.Matches == 0 {
 		t.Error("the unfenced dot product must lose updates on Titan")
 	}
 }
@@ -25,8 +25,8 @@ func TestDotProductFixedEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.ShortName, err)
 		}
-		if rep.Violations != 0 {
-			t.Errorf("%s: fenced dot product wrong in %d runs", p.ShortName, rep.Violations)
+		if rep.Matches != 0 {
+			t.Errorf("%s: fenced dot product wrong in %d runs", p.ShortName, rep.Matches)
 		}
 	}
 }
@@ -36,8 +36,8 @@ func TestDotProductCorrectOnGTX280(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Violations != 0 {
-		t.Errorf("GTX 280 must not lose updates even unfenced, got %d", rep.Violations)
+	if rep.Matches != 0 {
+		t.Errorf("GTX 280 must not lose updates even unfenced, got %d", rep.Matches)
 	}
 }
 
@@ -46,14 +46,14 @@ func TestDotProductThreeContributors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Violations != 0 {
-		t.Errorf("3-way fenced dot product wrong in %d runs", rep.Violations)
+	if rep.Matches != 0 {
+		t.Errorf("3-way fenced dot product wrong in %d runs", rep.Matches)
 	}
 	rep, err = DotProduct(false, 3).Run(chip.TeslaC2075, chip.Default(), 800, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Violations == 0 {
+	if rep.Matches == 0 {
 		t.Error("3-way unfenced dot product must lose updates on TesC")
 	}
 }
@@ -65,15 +65,15 @@ func TestDequeLosesTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Violations == 0 {
+	if rep.Matches == 0 {
 		t.Error("the unfenced deque must lose a task on TesC")
 	}
 	rep, err = WorkStealingDeque(true).Run(chip.TeslaC2075, chip.Default(), appRuns, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Violations != 0 {
-		t.Errorf("the fenced deque lost %d tasks", rep.Violations)
+	if rep.Matches != 0 {
+		t.Errorf("the fenced deque lost %d tasks", rep.Matches)
 	}
 }
 
@@ -82,15 +82,15 @@ func TestTransactionIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Violations == 0 {
+	if rep.Matches == 0 {
 		t.Error("the broken He-Yu lock must violate isolation on Titan")
 	}
 	rep, err = TransactionIsolation(true).Run(chip.GTXTitan, chip.Default(), appRuns, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Violations != 0 {
-		t.Errorf("the repaired He-Yu lock violated isolation %d times", rep.Violations)
+	if rep.Matches != 0 {
+		t.Errorf("the repaired He-Yu lock violated isolation %d times", rep.Matches)
 	}
 }
 
@@ -113,12 +113,22 @@ func TestAllAppsValidate(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	rep := &Report{App: "x", Chip: "Titan", Runs: 10, Violations: 0}
+	rep := &Report{App: "x", Chip: "Titan", Runs: 10, Matches: 0}
 	if !strings.Contains(rep.String(), "correct") {
 		t.Errorf("report: %s", rep)
 	}
-	rep.Violations = 3
+	rep.Matches = 3
 	if !strings.Contains(rep.String(), "INCORRECT in 3/10") {
 		t.Errorf("report: %s", rep)
+	}
+}
+
+func TestRunZeroRuns(t *testing.T) {
+	rep, err := DotProduct(false, 2).Run(chip.GTXTitan, chip.Default(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Runs != 0 || rep.Matches != 0 {
+		t.Errorf("zero runs: got %d runs, %d matches", rep.Runs, rep.Matches)
 	}
 }

@@ -261,10 +261,10 @@ func AppStudies(o Opts) (string, []string, error) {
 		repaired := strings.Contains(a.Name, "+fences") || strings.Contains(a.Name, "+fixed")
 		wRep, sRep := results[i].weak, results[i].strong
 		fmt.Fprintf(&sb, "  %-28s %-32s %s\n", a.Name, wRep.String()[len(a.Name)+1:], sRep.String()[len(a.Name)+1:])
-		if repaired && wRep.Violations > 0 {
+		if repaired && wRep.Matches > 0 {
 			errs = append(errs, fmt.Sprintf("%s must be correct on %s", a.Name, weak.ShortName))
 		}
-		if sRep.Violations > 0 {
+		if sRep.Matches > 0 {
 			errs = append(errs, fmt.Sprintf("%s must be correct on %s", a.Name, strong.ShortName))
 		}
 	}

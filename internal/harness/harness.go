@@ -6,10 +6,14 @@
 package harness
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -65,10 +69,11 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 		return nil, err
 	}
 
+	regs, locs := condRegs(t), t.Locations()
 	type partial struct {
-		hist    map[string]int
-		matches int
-		err     error
+		states []state
+		counts []int
+		err    error
 	}
 	parts := make([]partial, cfg.Parallelism)
 	var wg sync.WaitGroup
@@ -76,24 +81,36 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			hist := make(map[string]int)
-			matches := 0
+			m, err := sim.NewMachine(t, cfg.Chip, cfg.Incant)
+			if err != nil {
+				parts[w] = partial{err: err}
+				return
+			}
+			// Final states are histogrammed by a compact value key; each
+			// distinct key is fingerprinted and evaluated once.
+			index := make(map[string]int)
+			var p partial
+			var key []byte
 			for i := w; i < cfg.Runs; i += cfg.Parallelism {
 				if err := ctx.Err(); err != nil {
 					parts[w] = partial{err: err}
 					return
 				}
-				res, err := sim.Run(t, cfg.Chip, cfg.Incant, cfg.Seed+int64(i))
-				if err != nil {
+				if err := m.Run(cfg.Seed + int64(i)); err != nil {
 					parts[w] = partial{err: err}
 					return
 				}
-				hist[Fingerprint(t, res.State)]++
-				if t.Exists.Eval(res.State) {
-					matches++
+				key = appendKey(key[:0], m, regs, locs)
+				k, ok := index[string(key)]
+				if !ok {
+					k = len(p.states)
+					index[string(key)] = k
+					p.states = append(p.states, state{fp: fingerprint(regs, locs, m), match: t.Exists.Eval(m)})
+					p.counts = append(p.counts, 0)
 				}
+				p.counts[k]++
 			}
-			parts[w] = partial{hist: hist, matches: matches}
+			parts[w] = p
 		}(w)
 	}
 	wg.Wait()
@@ -103,12 +120,40 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 		if p.err != nil {
 			return nil, p.err
 		}
-		for k, v := range p.hist {
-			out.Histogram[k] += v
+		for k, s := range p.states {
+			out.Histogram[s.fp] += p.counts[k]
+			if s.match {
+				out.Matches += p.counts[k]
+			}
 		}
-		out.Matches += p.matches
 	}
 	return out, nil
+}
+
+// state is one distinct final state a harness worker saw.
+type state struct {
+	fp    string // Fingerprint
+	match bool   // the test's condition holds
+}
+
+// appendKey encodes the part of a final state the histogram and the
+// condition can see: each condition register's presence and value, then
+// each location's presence and value.
+func appendKey(key []byte, s litmus.State, regs []condReg, locs []ptx.Sym) []byte {
+	put := func(v int64, ok bool) {
+		if !ok {
+			key = append(key, 0)
+			return
+		}
+		key = binary.LittleEndian.AppendUint64(append(key, 1), uint64(v))
+	}
+	for _, r := range regs {
+		put(s.Reg(r.thread, r.reg))
+	}
+	for _, loc := range locs {
+		put(s.Mem(loc))
+	}
+	return key
 }
 
 // Per100k scales the match count to the paper's per-100k-runs convention.
@@ -179,26 +224,64 @@ func (o *Outcome) matchingKeys() map[string]bool {
 // mentioned by the test's condition and every memory location, in
 // deterministic order.
 func Fingerprint(t *litmus.Test, s litmus.State) string {
-	var parts []string
-	seen := make(map[string]bool)
+	return fingerprint(condRegs(t), t.Locations(), s)
+}
+
+// condReg is a register the test's condition mentions, with its
+// fingerprint label "tid:reg".
+type condReg struct {
+	thread int
+	reg    ptx.Reg
+	label  string
+}
+
+// condRegs lists the registers the test's condition mentions, once each,
+// in the order Fingerprint renders them: sorted as "tid:reg=" strings,
+// which sorts "tid:reg=value" parts the same whatever the values.
+func condRegs(t *litmus.Test) []condReg {
+	var regs []condReg
 	for _, a := range litmus.CondAtoms(t.Exists) {
-		if ra, ok := a.(litmus.RegEq); ok {
-			key := fmt.Sprintf("%d:%s", ra.Thread, ra.Reg)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			v, _ := s.Reg(ra.Thread, ra.Reg)
-			parts = append(parts, fmt.Sprintf("%s=%d", key, v))
+		ra, ok := a.(litmus.RegEq)
+		if !ok {
+			continue
+		}
+		label := strconv.Itoa(ra.Thread) + ":" + string(ra.Reg)
+		if !slices.ContainsFunc(regs, func(r condReg) bool { return r.label == label }) {
+			regs = append(regs, condReg{ra.Thread, ra.Reg, label})
 		}
 	}
-	sort.Strings(parts)
-	var mems []string
-	for _, loc := range t.Locations() {
-		v, _ := s.Mem(loc)
-		mems = append(mems, fmt.Sprintf("%s=%d", loc, v))
+	slices.SortFunc(regs, func(a, b condReg) int { return compareWithEq(a.label, b.label) })
+	return regs
+}
+
+// compareWithEq compares a+"=" with b+"=" without building either.
+func compareWithEq(a, b string) int {
+	n := min(len(a), len(b))
+	if c := strings.Compare(a[:n], b[:n]); c != 0 || len(a) == len(b) {
+		return c
 	}
-	return strings.Join(append(parts, mems...), " ")
+	if len(a) < len(b) {
+		return cmp.Compare('=', b[n])
+	}
+	return cmp.Compare(a[n], '=')
+}
+
+func fingerprint(regs []condReg, locs []ptx.Sym, s litmus.State) string {
+	var b []byte
+	for _, r := range regs {
+		v, _ := s.Reg(r.thread, r.reg)
+		b = strconv.AppendInt(append(append(b, r.label...), '='), v, 10)
+		b = append(b, ' ')
+	}
+	for _, loc := range locs {
+		v, _ := s.Mem(loc)
+		b = strconv.AppendInt(append(append(b, loc...), '='), v, 10)
+		b = append(b, ' ')
+	}
+	if len(b) > 0 {
+		b = b[:len(b)-1]
+	}
+	return string(b)
 }
 
 // parseFingerprint reconstructs a State from a fingerprint.
@@ -224,37 +307,4 @@ func parseFingerprint(fp string) (litmus.State, error) {
 		}
 	}
 	return s, nil
-}
-
-// RunAllIncants runs the test under all 16 incantation combinations in
-// Table 6 column order.
-func RunAllIncants(t *litmus.Test, p *chip.Profile, runs int, seed int64) ([]*Outcome, error) {
-	var outs []*Outcome
-	for i, inc := range chip.AllIncants() {
-		o, err := Run(t, Config{Chip: p, Incant: inc, Runs: runs, Seed: seed + int64(i)*1_000_003})
-		if err != nil {
-			return nil, err
-		}
-		outs = append(outs, o)
-	}
-	return outs, nil
-}
-
-// BestIncant scans all 16 combinations with a small run budget and returns
-// the one provoking the most weak outcomes — the paper reports results
-// "using the most effective incantations" (Sec. 3).
-func BestIncant(t *litmus.Test, p *chip.Profile, scanRuns int, seed int64) (chip.Incant, error) {
-	best := chip.Default()
-	bestCount := -1
-	for i, inc := range chip.AllIncants() {
-		o, err := Run(t, Config{Chip: p, Incant: inc, Runs: scanRuns, Seed: seed + int64(i)*999_983})
-		if err != nil {
-			return chip.Incant{}, err
-		}
-		if o.Matches > bestCount {
-			bestCount = o.Matches
-			best = inc
-		}
-	}
-	return best, nil
 }

@@ -3,11 +3,13 @@ package harness
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/sim"
 )
 
 func TestRunBasics(t *testing.T) {
@@ -120,36 +122,6 @@ func TestStringHistogram(t *testing.T) {
 	}
 }
 
-func TestRunAllIncants(t *testing.T) {
-	outs, err := RunAllIncants(litmus.SBGlobal(), chip.GTXTitan, 600, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 16 {
-		t.Fatalf("want 16 outcomes, got %d", len(outs))
-	}
-	// Columns 1-8 (no memory stress) must show nothing on Titan.
-	for i := 0; i < 8; i++ {
-		if outs[i].Observed() {
-			t.Errorf("column %d (no memory stress) observed %d weak outcomes", i+1, outs[i].Matches)
-		}
-	}
-	// Column 12 (ms+ts+tr) is the paper's strongest inter-CTA column.
-	if !outs[11].Observed() {
-		t.Error("column 12 must observe sb on Titan")
-	}
-}
-
-func TestBestIncant(t *testing.T) {
-	inc, err := BestIncant(litmus.SBGlobal(), chip.GTXTitan, 300, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inc.MemStress {
-		t.Errorf("best incantation for Titan sb must include memory stress, got %s", inc)
-	}
-}
-
 func TestFingerprintRoundTrip(t *testing.T) {
 	test := litmus.MP(litmus.NoFence)
 	s := litmus.NewMapState()
@@ -198,5 +170,98 @@ func TestRunCtxCancelled(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Error("RunCtx with background context must match Run byte for byte")
+	}
+}
+
+// guardedWrite makes 0:r0 hold the address of y when its load sees x=1.
+// A register holding an address is absent from the final state, so r0 is
+// absent from some final states and 0 in others: both render as "0:r0=0"
+// in the fingerprint, but only the second satisfies the condition.
+func guardedWrite() *litmus.Test {
+	return litmus.NewTest("guarded-write").
+		Global("x", 0).Global("y", 0).
+		Thread("ld.cg r1,[x]", "setp.eq p1,r1,1", "@p1 mov r0,y").
+		Thread("st.cg [x],1").
+		InterCTA().
+		Exists("0:r0=0").
+		MustBuild()
+}
+
+// TestRunMatchesPerIterationEval is the differential oracle for the
+// harness's interned histogram: the outcome must equal the histogram and
+// match count built by fingerprinting and evaluating each sim.Run state.
+func TestRunMatchesPerIterationEval(t *testing.T) {
+	tests := []*litmus.Test{guardedWrite(), litmus.MP(litmus.NoFence), litmus.CoRR(), litmus.MPL1(litmus.FenceCTA)}
+	for _, test := range tests {
+		for _, p := range []*chip.Profile{chip.GTXTitan, chip.TeslaC2075, chip.HD7970} {
+			cfg := Config{Chip: p, Incant: chip.Default(), Runs: 400, Seed: 5, Parallelism: 3}
+			o, err := Run(test, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hist, matches := make(map[string]int), 0
+			for i := 0; i < cfg.Runs; i++ {
+				res, err := sim.Run(test, p, cfg.Incant, cfg.Seed+int64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				hist[Fingerprint(test, res.State)]++
+				if test.Exists.Eval(res.State) {
+					matches++
+				}
+			}
+			if o.Matches != matches || !reflect.DeepEqual(o.Histogram, hist) {
+				t.Errorf("%s on %s: harness has %d matches %v, per-iteration %d %v", test.Name, p.ShortName, o.Matches, o.Histogram, matches, hist)
+			}
+		}
+	}
+	o, err := Run(guardedWrite(), Config{Chip: chip.GTXTitan, Incant: chip.Default(), Runs: 400, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Matches == 0 || o.Matches == o.Runs {
+		t.Errorf("guarded-write: %d of %d runs match; the oracle needs both kinds of state", o.Matches, o.Runs)
+	}
+}
+
+// TestRunAllocsPerIteration pins the steady state of a harness worker: one
+// reused machine and interned final states, so a run's allocations do not
+// grow with its iterations.
+func TestRunAllocsPerIteration(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const runs = 10000
+	for _, test := range []*litmus.Test{litmus.MP(litmus.NoFence), litmus.CoRR(), litmus.CasSL(false)} {
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := Run(test, Config{Chip: chip.GTXTitan, Incant: chip.Default(), Runs: runs, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if per := allocs / runs; per > 2 {
+			t.Errorf("%s: %.3f allocs per iteration, want <= 2", test.Name, per)
+		} else {
+			t.Logf("%s: %.0f allocs for %d runs", test.Name, allocs, runs)
+		}
+	}
+}
+
+// TestFingerprintOrder pins the register order of fingerprints: parts
+// sort as "tid:reg=value" strings, so 0:r10 comes before 0:r1 and 1:r0.
+func TestFingerprintOrder(t *testing.T) {
+	test := litmus.NewTest("order").
+		Global("x", 0).Global("y", 0).
+		Thread("ld.cg r1,[x]", "ld.cg r10,[y]").
+		Thread("ld.cg r0,[x]").
+		InterCTA().
+		Exists("1:r0=0 /\\ 0:r1=1 /\\ 0:r10=0 /\\ 0:r1=1").
+		MustBuild()
+	s := litmus.NewMapState()
+	s.SetReg(0, "r1", 5)
+	s.SetReg(0, "r10", 0)
+	s.SetReg(1, "r0", -2)
+	s.SetMem("x", 1)
+	if got, want := Fingerprint(test, s), "0:r10=0 0:r1=5 1:r0=-2 x=1 y=0"; got != want {
+		t.Errorf("Fingerprint = %q, want %q", got, want)
 	}
 }

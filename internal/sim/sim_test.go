@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
@@ -304,5 +305,32 @@ func TestIncantationMultipliers(t *testing.T) {
 	all := chip.GTXTitan.Multiplier(chip.Inter, chip.Incant{MemStress: true, BankConflicts: true, ThreadSync: true, ThreadRand: true})
 	if all >= best {
 		t.Errorf("bank conflicts must depress Titan inter rates: %v vs %v", all, best)
+	}
+}
+
+// TestMachineReuse runs one machine per test over seeds in a scrambled
+// order: every iteration must reproduce the fresh-machine Run of its seed,
+// whatever the machine simulated before.
+func TestMachineReuse(t *testing.T) {
+	for _, test := range litmus.PaperTests() {
+		for _, p := range []*chip.Profile{chip.TeslaC2075, chip.HD7970} {
+			m, err := NewMachine(test, p, chip.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := int64(0); k < 60; k++ {
+				seed := (k * 7919) % 61
+				if err := m.Run(seed); err != nil {
+					t.Fatal(err)
+				}
+				res, err := Run(test, p, chip.Default(), seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(m.State(), res.State) {
+					t.Fatalf("%s on %s seed %d: reused machine %v, fresh %v", test.Name, p.ShortName, seed, m.State(), res.State)
+				}
+			}
+		}
 	}
 }

@@ -1,119 +1,255 @@
 package sim
 
 import (
-	"fmt"
-
-	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
 
 // maxSteps bounds one thread's dynamic instruction count (spin loops).
 const maxSteps = 4096
 
-func (m *machine) prog(t *tstate) ptx.Program { return m.test.Threads[t.id].Prog }
+// opcode is a decoded instruction kind.
+type opcode uint8
 
-func (m *machine) regReady(t *tstate, r ptx.Reg) bool {
-	v := t.regs[r]
-	return v.pend == nil || v.pend.done
+const (
+	opUnknown opcode = iota // never ready: the thread deadlocks
+	opLabel
+	opBra
+	opMov // also cvt: both copy their source
+	opAdd
+	opAnd
+	opXor
+	opSetp
+	opMembar
+	opLd
+	opSt
+	opCAS
+	opExch
+	opAtomAdd
+	opInc
+)
+
+type argKind uint8
+
+const (
+	argNone argKind = iota
+	argImm
+	argSym
+	argReg
+)
+
+// arg is a decoded operand: an immediate, a location index or a register
+// slot.
+type arg struct {
+	kind argKind
+	imm  int64
+	idx  int
 }
 
-func (m *machine) operandReady(t *tstate, o ptx.Operand) bool {
-	if r, ok := o.(ptx.Reg); ok {
-		return m.regReady(t, r)
+// op is an instruction decoded against its test: registers are slots,
+// symbols are location indices and branch targets are program counters.
+type op struct {
+	code  opcode
+	guard int // register slot of the guard, -1 when unguarded
+	neg   bool
+	dst   int // destination register slot
+	// args are the operands the instruction waits for, in instruction
+	// order: the address first for memory accesses (ld [a]; st [a],src;
+	// atom.cas [a],cmp,new; atom.exch/add/inc [a],src), the sources for
+	// register instructions (mov/cvt src; add/and/xor/setp a,b).
+	args  [3]arg
+	nargs int
+	ca    bool // .ca load
+	scope ptx.Scope
+	pc    int // branch target
+}
+
+// decodeThread assigns register slots (declared registers first, then in
+// order of appearance) and decodes the program.
+func (m *Machine) decodeThread(tid, cta int, prog ptx.Program) thread {
+	th := thread{cta: cta, regSlot: make(map[ptx.Reg]int)}
+	slot := func(r ptx.Reg) int {
+		s, ok := th.regSlot[r]
+		if !ok {
+			s = len(th.regNames)
+			th.regSlot[r] = s
+			th.regNames = append(th.regNames, r)
+		}
+		return s
 	}
-	return true
+	var decls []regv
+	for _, d := range m.test.Decls {
+		if d.Thread != tid {
+			continue
+		}
+		s := slot(d.Reg)
+		if s == len(decls) {
+			decls = append(decls, regv{})
+		}
+		decls[s] = regv{set: true}
+		if d.Loc != "" {
+			decls[s].base = m.locIdx[d.Loc] + 1
+		}
+	}
+	operand := func(o ptx.Operand) arg {
+		switch v := o.(type) {
+		case ptx.Imm:
+			return arg{kind: argImm, imm: int64(v)}
+		case ptx.Sym:
+			return arg{kind: argSym, idx: m.locIdx[v]}
+		case ptx.Reg:
+			return arg{kind: argReg, idx: slot(v)}
+		}
+		return arg{}
+	}
+	labels := prog.Labels()
+	th.prog = make([]op, len(prog))
+	for pc, inst := range prog {
+		o := op{guard: -1}
+		if g := inst.Pred(); g != nil {
+			o.guard, o.neg = slot(g.Reg), g.Neg
+		}
+		args := func(ops ...ptx.Operand) {
+			for i, a := range ops {
+				o.args[i] = operand(a)
+			}
+			o.nargs = len(ops)
+		}
+		switch v := inst.(type) {
+		case ptx.LabelDef:
+			o.code = opLabel
+		case ptx.Bra:
+			o.code, o.pc = opBra, labels[v.Target]
+		case ptx.Mov:
+			o.code = opMov
+			o.dst = slot(v.Dst)
+			args(v.Src)
+		case ptx.Cvt:
+			o.code = opMov
+			o.dst = slot(v.Dst)
+			args(v.Src)
+		case ptx.Add:
+			o.code = opAdd
+			o.dst = slot(v.Dst)
+			args(v.A, v.B)
+		case ptx.And:
+			o.code = opAnd
+			o.dst = slot(v.Dst)
+			args(v.A, v.B)
+		case ptx.Xor:
+			o.code = opXor
+			o.dst = slot(v.Dst)
+			args(v.A, v.B)
+		case ptx.SetpEq:
+			o.code = opSetp
+			o.dst = slot(v.P)
+			args(v.A, v.B)
+		case ptx.Membar:
+			o.code, o.scope = opMembar, v.Scope
+		case ptx.Ld:
+			o.code, o.ca = opLd, v.CacheOp == ptx.CacheCA
+			o.dst = slot(v.Dst)
+			args(v.Addr)
+		case ptx.St:
+			o.code = opSt
+			args(v.Addr, v.Src)
+		case ptx.AtomCAS:
+			o.code = opCAS
+			o.dst = slot(v.Dst)
+			args(v.Addr, v.Cmp, v.New)
+		case ptx.AtomExch:
+			o.code = opExch
+			o.dst = slot(v.Dst)
+			args(v.Addr, v.Src)
+		case ptx.AtomAdd:
+			o.code = opAtomAdd
+			o.dst = slot(v.Dst)
+			args(v.Addr, v.Src)
+		case ptx.AtomInc:
+			o.code = opInc
+			o.dst = slot(v.Dst)
+			args(v.Addr, v.Bound)
+		}
+		th.prog[pc] = o
+	}
+	th.regInit = make([]regv, len(th.regNames))
+	copy(th.regInit, decls)
+	return th
 }
 
-// evalOperand returns the concrete value of a ready operand.
-func (m *machine) evalOperand(t *tstate, o ptx.Operand) regv {
-	switch v := o.(type) {
-	case ptx.Imm:
-		return regv{v: int64(v)}
-	case ptx.Sym:
-		return regv{base: v}
-	case ptx.Reg:
-		rv := t.regs[v]
-		if rv.pend != nil && rv.pend.done {
-			return regv{v: rv.pend.val, base: rv.base}
+func (m *Machine) regReady(t *tstate, slot int) bool {
+	p := t.regs[slot].pend
+	return p == 0 || m.loads[p-1].done
+}
+
+// eval returns the concrete value of a ready operand.
+func (m *Machine) eval(t *tstate, a arg) regv {
+	switch a.kind {
+	case argImm:
+		return regv{v: a.imm}
+	case argSym:
+		return regv{base: a.idx + 1}
+	case argReg:
+		rv := t.regs[a.idx]
+		if rv.pend != 0 && m.loads[rv.pend-1].done {
+			return regv{v: m.loads[rv.pend-1].val, base: rv.base}
 		}
 		return rv
 	}
 	return regv{}
 }
 
-// resolveAddr maps an address operand to a location symbol.
-func (m *machine) resolveAddr(t *tstate, o ptx.Operand) (ptx.Sym, error) {
-	switch v := o.(type) {
-	case ptx.Sym:
-		return v, nil
-	case ptx.Reg:
-		rv := m.evalOperand(t, v)
-		if rv.base == "" || rv.v != 0 {
-			return "", fmt.Errorf("sim: thread %d: register %s does not hold a modelled address", t.id, v)
+func (t *tstate) setReg(slot int, v regv) {
+	v.set = true
+	t.regs[slot] = v
+}
+
+// resolveAddr maps an address operand to a location index; ok is false
+// when the operand does not hold a modelled address.
+func (m *Machine) resolveAddr(t *tstate, a arg) (loc int, ok bool) {
+	switch a.kind {
+	case argSym:
+		return a.idx, true
+	case argReg:
+		rv := m.eval(t, a)
+		if rv.base == 0 || rv.v != 0 {
+			return 0, false
 		}
-		return rv.base, nil
+		return rv.base - 1, true
 	}
-	return "", fmt.Errorf("sim: bad address operand %v", o)
+	return 0, false
 }
 
 // canStep reports whether the thread's next instruction can execute now:
 // its guard and operands are resolved and, for fences, the drain conditions
 // hold.
-func (m *machine) canStep(t *tstate) bool {
-	prog := m.prog(t)
+func (m *Machine) canStep(t *tstate) bool {
+	prog := m.layout[t.id].prog
 	if t.pc >= len(prog) {
 		return true // retirement
 	}
-	inst := prog[t.pc]
-	if g := inst.Pred(); g != nil && !m.regReady(t, g.Reg) {
+	o := &prog[t.pc]
+	if o.guard >= 0 && !m.regReady(t, o.guard) {
 		return false
 	}
-	ready := func(ops ...ptx.Operand) bool {
-		for _, o := range ops {
-			if !m.operandReady(t, o) {
-				return false
-			}
+	switch o.code {
+	case opUnknown:
+		return false
+	case opMembar:
+		return m.fenceReady(t, o.scope)
+	}
+	for _, a := range o.args[:o.nargs] {
+		if a.kind == argReg && !m.regReady(t, a.idx) {
+			return false
 		}
-		return true
 	}
-	switch v := inst.(type) {
-	case ptx.Ld:
-		return ready(v.Addr)
-	case ptx.St:
-		return ready(v.Addr, v.Src)
-	case ptx.AtomCAS:
-		return ready(v.Addr, v.Cmp, v.New)
-	case ptx.AtomExch:
-		return ready(v.Addr, v.Src)
-	case ptx.AtomAdd:
-		return ready(v.Addr, v.Src)
-	case ptx.AtomInc:
-		return ready(v.Addr, v.Bound)
-	case ptx.Membar:
-		return m.fenceReady(t, v.Scope)
-	case ptx.Mov:
-		return ready(v.Src)
-	case ptx.Add:
-		return ready(v.A, v.B)
-	case ptx.And:
-		return ready(v.A, v.B)
-	case ptx.Xor:
-		return ready(v.A, v.B)
-	case ptx.Cvt:
-		return ready(v.Src)
-	case ptx.SetpEq:
-		return ready(v.A, v.B)
-	case ptx.Bra, ptx.LabelDef:
-		return true
-	}
-	return false
+	return true
 }
 
 // fenceReady implements membar semantics: all scopes wait for the thread's
 // outstanding loads to complete and its store buffer to drain (CTA
 // visibility); membar.gl and membar.sys additionally wait for the thread's
 // stores to commit from the SM queue to L2 (global visibility).
-func (m *machine) fenceReady(t *tstate, s ptx.Scope) bool {
+func (m *Machine) fenceReady(t *tstate, s ptx.Scope) bool {
 	if len(t.pending) > 0 || len(t.sb) > 0 {
 		return false
 	}
@@ -128,24 +264,23 @@ func (m *machine) fenceReady(t *tstate, s ptx.Scope) bool {
 }
 
 // step executes the thread's next instruction (canStep was true).
-func (m *machine) step(t *tstate) {
-	prog := m.prog(t)
+func (m *Machine) step(t *tstate) {
+	prog := m.layout[t.id].prog
 	if t.pc >= len(prog) {
 		t.done = true
 		return
 	}
 	t.steps++
 	if t.steps > maxSteps {
-		// Treat as livelock; surfaced by the tick bound in run().
+		// Treat as livelock; surfaced by the tick bound in Run.
 		t.done = true
 		return
 	}
-	inst := prog[t.pc]
+	o := &prog[t.pc]
 
-	if g := inst.Pred(); g != nil {
-		gv := m.evalOperand(t, g.Reg)
-		hold := gv.v != 0
-		if g.Neg {
+	if o.guard >= 0 {
+		hold := m.eval(t, arg{kind: argReg, idx: o.guard}).v != 0
+		if o.neg {
 			hold = !hold
 		}
 		if !hold {
@@ -154,88 +289,84 @@ func (m *machine) step(t *tstate) {
 		}
 	}
 
-	switch v := inst.(type) {
-	case ptx.LabelDef:
+	switch o.code {
+	case opLabel:
 		t.pc++
 
-	case ptx.Bra:
-		t.pc = m.labels[t.id][v.Target]
+	case opBra:
+		t.pc = o.pc
 
-	case ptx.Mov:
-		t.regs[v.Dst] = m.evalOperand(t, v.Src)
+	case opMov:
+		t.setReg(o.dst, m.eval(t, o.args[0]))
 		t.pc++
 
-	case ptx.Add:
-		a, b := m.evalOperand(t, v.A), m.evalOperand(t, v.B)
+	case opAdd:
+		a, b := m.eval(t, o.args[0]), m.eval(t, o.args[1])
 		res := regv{v: a.v + b.v}
-		if a.base != "" {
+		if a.base != 0 {
 			res.base = a.base
-		} else if b.base != "" {
+		} else if b.base != 0 {
 			res.base = b.base
 		}
-		t.regs[v.Dst] = res
+		t.setReg(o.dst, res)
 		t.pc++
 
-	case ptx.And:
-		a, b := m.evalOperand(t, v.A), m.evalOperand(t, v.B)
-		t.regs[v.Dst] = regv{v: a.v & b.v}
+	case opAnd:
+		a, b := m.eval(t, o.args[0]), m.eval(t, o.args[1])
+		t.setReg(o.dst, regv{v: a.v & b.v})
 		t.pc++
 
-	case ptx.Xor:
-		a, b := m.evalOperand(t, v.A), m.evalOperand(t, v.B)
-		t.regs[v.Dst] = regv{v: a.v ^ b.v}
+	case opXor:
+		a, b := m.eval(t, o.args[0]), m.eval(t, o.args[1])
+		t.setReg(o.dst, regv{v: a.v ^ b.v})
 		t.pc++
 
-	case ptx.Cvt:
-		t.regs[v.Dst] = m.evalOperand(t, v.Src)
-		t.pc++
-
-	case ptx.SetpEq:
-		a, b := m.evalOperand(t, v.A), m.evalOperand(t, v.B)
+	case opSetp:
+		a, b := m.eval(t, o.args[0]), m.eval(t, o.args[1])
 		res := int64(0)
 		if a.v == b.v && a.base == b.base {
 			res = 1
 		}
-		t.regs[v.P] = regv{v: res}
+		t.setReg(o.dst, regv{v: res})
 		t.pc++
 
-	case ptx.Membar:
+	case opMembar:
 		// fenceReady held: apply the fence's L1 effects.
-		if v.Scope >= m.prof.L1InvalidateScope {
-			m.sms[t.cta].l1 = make(map[ptx.Sym]int64)
+		if o.scope >= m.prof.L1InvalidateScope {
+			clear(m.sms[t.cta].l1ok)
 		}
-		if v.Scope >= m.prof.MixedFlushScope {
-			t.mixedWindow = make(map[ptx.Sym]bool)
+		if o.scope >= m.prof.MixedFlushScope {
+			clear(t.mixed)
 		}
 		t.pc++
 
-	case ptx.Ld:
-		m.stepLoad(t, v)
+	case opLd:
+		m.stepLoad(t, o)
 		t.pc++
 
-	case ptx.St:
-		m.stepStore(t, v)
+	case opSt:
+		m.stepStore(t, o)
 		t.pc++
 
-	case ptx.AtomCAS, ptx.AtomExch, ptx.AtomAdd, ptx.AtomInc:
-		m.stepAtomic(t, inst)
+	case opCAS, opExch, opAtomAdd, opInc:
+		m.stepAtomic(t, o)
 		t.pc++
 	}
 }
 
-func (m *machine) stepLoad(t *tstate, v ptx.Ld) {
-	loc, err := m.resolveAddr(t, v.Addr)
-	if err != nil {
+func (m *Machine) stepLoad(t *tstate, o *op) {
+	loc, ok := m.resolveAddr(t, o.args[0])
+	if !ok {
 		t.done = true
 		return
 	}
-	shared := m.test.SpaceOf(loc) == litmus.Shared
+	shared := m.isShared[loc]
 
 	// Store-buffer forwarding: the thread always sees its own latest
 	// buffered store (WR same-location order of SC-per-location).
 	for i := len(t.sb) - 1; i >= 0; i-- {
 		if t.sb[i].loc == loc {
-			t.regs[v.Dst] = regv{v: t.sb[i].val}
+			t.setReg(o.dst, regv{v: t.sb[i].val})
 			return
 		}
 	}
@@ -247,21 +378,14 @@ func (m *machine) stepLoad(t *tstate, v ptx.Ld) {
 		for len(t.sb) > 0 {
 			m.drainAt(t, 0)
 		}
-		sm := m.sms[t.cta]
-		for i := 0; i < len(sm.queue); {
-			if sm.queue[i].thread == t.id {
-				m.commitAt(sm, i)
-				continue
-			}
-			i++
-		}
+		m.commitOwn(t)
 	}
 
 	// Delayed-eviction race (Fig. 4): a .ca load shortly after a .cg load
 	// of the same location can still hit the line the .cg load was meant
 	// to evict.
-	if v.CacheOp == ptx.CacheCA && !shared && t.mixedWindow[loc] && m.rng.Float64() < m.eff.coRRMixed {
-		t.regs[v.Dst] = regv{v: m.test.InitOf(loc)}
+	if o.ca && !shared && t.mixed[loc] && m.rng.Float64() < m.eff.coRRMixed {
+		t.setReg(o.dst, regv{v: m.l2Init[loc]})
 		return
 	}
 
@@ -274,8 +398,8 @@ func (m *machine) stepLoad(t *tstate, v ptx.Ld) {
 	// same-location load unless the coRR relaxation fires, and past
 	// different-location loads only with the load-load probability.
 	mustQueue := false
-	for _, pl := range t.pending {
-		if pl.loc == loc {
+	for _, p := range t.pending {
+		if m.loads[p].loc == loc {
 			mustQueue = m.rng.Float64() >= m.eff.coRR
 		} else if m.rng.Float64() >= m.eff.loadRR {
 			mustQueue = true
@@ -285,18 +409,17 @@ func (m *machine) stepLoad(t *tstate, v ptx.Ld) {
 		}
 	}
 	if mustQueue || m.rng.Float64() < delay {
-		pl := &pload{loc: loc, dst: v.Dst, ca: v.CacheOp == ptx.CacheCA, shared: shared, seq: t.seq}
-		t.seq++
-		t.pending = append(t.pending, pl)
-		t.regs[v.Dst] = regv{pend: pl}
+		m.loads = append(m.loads, pload{loc: loc, ca: o.ca, shared: shared})
+		t.pending = append(t.pending, int32(len(m.loads)-1))
+		t.setReg(o.dst, regv{pend: int32(len(m.loads))})
 		return
 	}
-	t.regs[v.Dst] = regv{v: m.readMem(t, loc, v.CacheOp == ptx.CacheCA, shared)}
+	t.setReg(o.dst, regv{v: m.readMem(t, loc, o.ca, shared)})
 }
 
 // readMem performs the memory-system read for a completing load.
-func (m *machine) readMem(t *tstate, loc ptx.Sym, ca, shared bool) int64 {
-	sm := m.sms[t.cta]
+func (m *Machine) readMem(t *tstate, loc int, ca, shared bool) int64 {
+	sm := &m.sms[t.cta]
 	// CTA-visible stores from the same SM win over L2/L1.
 	for i := len(sm.queue) - 1; i >= 0; i-- {
 		if sm.queue[i].loc == loc && sm.queue[i].shared == shared {
@@ -307,11 +430,11 @@ func (m *machine) readMem(t *tstate, loc ptx.Sym, ca, shared bool) int64 {
 		return sm.shared[loc]
 	}
 	if ca {
-		if line, ok := sm.l1[loc]; ok {
-			return line // possibly stale: L1s are not coherent
+		if sm.l1ok[loc] {
+			return sm.l1[loc] // possibly stale: L1s are not coherent
 		}
 		val := m.l2[loc]
-		sm.l1[loc] = val
+		sm.l1[loc], sm.l1ok[loc] = val, true
 		return val
 	}
 	// .cg (and operator-less) loads read the L2 and evict the L1 line
@@ -319,18 +442,18 @@ func (m *machine) readMem(t *tstate, loc ptx.Sym, ca, shared bool) int64 {
 	// is unreliable.
 	val := m.l2[loc]
 	if m.rng.Float64() >= m.eff.cgEvictFail {
-		delete(sm.l1, loc)
+		sm.l1ok[loc] = false
 	}
-	t.mixedWindow[loc] = true
+	t.mixed[loc] = true
 	return val
 }
 
 // completeSameLoc force-completes the thread's pending loads to loc, oldest
 // first: a store (or RMW) must not overtake a program-order-earlier load of
 // the same location (the RW leg of SC per location).
-func (m *machine) completeSameLoc(t *tstate, loc ptx.Sym) {
+func (m *Machine) completeSameLoc(t *tstate, loc int) {
 	for i := 0; i < len(t.pending); {
-		if t.pending[i].loc == loc {
+		if m.loads[t.pending[i]].loc == loc {
 			m.completeAt(t, i)
 			continue
 		}
@@ -343,7 +466,7 @@ func (m *machine) completeSameLoc(t *tstate, loc ptx.Sym) {
 // to other locations only with probability PLoadRW (the lb idiom; zero on
 // GTX 540m, GTX 750 and GTX 280, matching their empty dlb-lb and sl-future
 // rows).
-func (m *machine) gateLoadRW(t *tstate) {
+func (m *Machine) gateLoadRW(t *tstate) {
 	if len(t.pending) == 0 || m.rng.Float64() < m.eff.loadRW {
 		return
 	}
@@ -352,16 +475,16 @@ func (m *machine) gateLoadRW(t *tstate) {
 	}
 }
 
-func (m *machine) stepStore(t *tstate, v ptx.St) {
-	loc, err := m.resolveAddr(t, v.Addr)
-	if err != nil {
+func (m *Machine) stepStore(t *tstate, o *op) {
+	loc, ok := m.resolveAddr(t, o.args[0])
+	if !ok {
 		t.done = true
 		return
 	}
 	m.completeSameLoc(t, loc)
 	m.gateLoadRW(t)
-	shared := m.test.SpaceOf(loc) == litmus.Shared
-	val := m.evalOperand(t, v.Src).v
+	shared := m.isShared[loc]
+	val := m.eval(t, o.args[1]).v
 
 	delay := m.eff.storeDelay
 	if shared {
@@ -375,10 +498,23 @@ func (m *machine) stepStore(t *tstate, v ptx.St) {
 	}
 	// Write-through: stage 1 then an in-order commit of the whole SM
 	// queue, preserving FIFO visibility.
-	sm := m.sms[t.cta]
+	sm := &m.sms[t.cta]
 	sm.queue = append(sm.queue, commitEntry{loc: loc, val: val, thread: t.id, shared: shared})
 	for len(sm.queue) > 0 {
 		m.commitAt(sm, 0)
+	}
+}
+
+// commitOwn commits the thread's entries in its SM queue to L2, oldest
+// first.
+func (m *Machine) commitOwn(t *tstate) {
+	sm := &m.sms[t.cta]
+	for i := 0; i < len(sm.queue); {
+		if sm.queue[i].thread == t.id {
+			m.commitAt(sm, i)
+			continue
+		}
+		i++
 	}
 }
 
@@ -386,16 +522,16 @@ func (m *machine) stepStore(t *tstate, v ptx.St) {
 // SM's shared memory. Atomics do not flush the thread's store buffer except
 // for entries to the same location — the crux of the broken-lock tests of
 // Sec. 3.2.
-func (m *machine) stepAtomic(t *tstate, inst ptx.Instr) {
-	loc, err := m.resolveAddr(t, ptx.AddrOf(inst))
-	if err != nil {
+func (m *Machine) stepAtomic(t *tstate, o *op) {
+	loc, ok := m.resolveAddr(t, o.args[0])
+	if !ok {
 		t.done = true
 		return
 	}
 	m.completeSameLoc(t, loc)
 	m.gateLoadRW(t)
-	shared := m.test.SpaceOf(loc) == litmus.Shared
-	sm := m.sms[t.cta]
+	shared := m.isShared[loc]
+	sm := &m.sms[t.cta]
 
 	// Most chips' atomics flush the thread's buffered stores; with the
 	// chip's store-atomic delay probability, older stores to other
@@ -405,18 +541,12 @@ func (m *machine) stepAtomic(t *tstate, inst ptx.Instr) {
 		for len(t.sb) > 0 {
 			m.drainAt(t, 0)
 		}
-		for i := 0; i < len(sm.queue); {
-			if sm.queue[i].thread == t.id {
-				m.commitAt(sm, i)
-				continue
-			}
-			i++
-		}
+		m.commitOwn(t)
 	}
 
 	// Drain own same-location buffered stores (they must be ordered
 	// before the RMW).
-	var rest []sbEntry
+	rest := t.sb[:0]
 	for _, e := range t.sb {
 		if e.loc == loc {
 			sm.queue = append(sm.queue, commitEntry{loc: e.loc, val: e.val, thread: t.id, shared: e.shared})
@@ -428,10 +558,11 @@ func (m *machine) stepAtomic(t *tstate, inst ptx.Instr) {
 
 	// Linearise: commit every CTA-visible store to this location, from
 	// all SMs, before the RMW reads.
-	for _, s := range m.sms {
+	for s := range m.sms {
+		other := &m.sms[s]
 		for {
 			idx := -1
-			for i, e := range s.queue {
+			for i, e := range other.queue {
 				if e.loc == loc {
 					idx = i
 					break
@@ -440,94 +571,83 @@ func (m *machine) stepAtomic(t *tstate, inst ptx.Instr) {
 			if idx < 0 {
 				break
 			}
-			m.commitAt(s, idx)
+			m.commitAt(other, idx)
 		}
 	}
 
-	read := func() int64 {
-		if shared {
-			return sm.shared[loc]
-		}
-		return m.l2[loc]
+	old := m.l2[loc]
+	if shared {
+		old = sm.shared[loc]
 	}
-	write := func(v int64) {
-		if shared {
-			sm.shared[loc] = v
-		} else {
-			m.l2[loc] = v
-			delete(sm.l1, loc) // atomics read/write at L2, evicting the line
+	next, write := old, false
+	switch o.code {
+	case opCAS:
+		if old == m.eval(t, o.args[1]).v {
+			next, write = m.eval(t, o.args[2]).v, true
 		}
-	}
-
-	old := read()
-	var dst ptx.Reg
-	switch v := inst.(type) {
-	case ptx.AtomCAS:
-		dst = v.Dst
-		if old == m.evalOperand(t, v.Cmp).v {
-			write(m.evalOperand(t, v.New).v)
-		}
-	case ptx.AtomExch:
-		dst = v.Dst
-		write(m.evalOperand(t, v.Src).v)
-	case ptx.AtomAdd:
-		dst = v.Dst
-		write(old + m.evalOperand(t, v.Src).v)
-	case ptx.AtomInc:
-		dst = v.Dst
-		next := old + 1
-		if old >= m.evalOperand(t, v.Bound).v {
+	case opExch:
+		next, write = m.eval(t, o.args[1]).v, true
+	case opAtomAdd:
+		next, write = old+m.eval(t, o.args[1]).v, true
+	case opInc:
+		next, write = old+1, true
+		if old >= m.eval(t, o.args[1]).v {
 			next = 0
 		}
-		write(next)
 	}
-	t.regs[dst] = regv{v: old}
+	if write {
+		if shared {
+			sm.shared[loc] = next
+		} else {
+			m.l2[loc] = next
+			sm.l1ok[loc] = false // atomics read/write at L2, evicting the line
+		}
+	}
+	t.setReg(o.dst, regv{v: old})
 }
 
 // completeOne completes a pending load chosen per the chip's reordering
 // probabilities: normally the oldest; different-location younger loads may
 // jump ahead (mp read side); same-location reordering is the coRR
 // relaxation.
-func (m *machine) completeOne(t *tstate) {
+func (m *Machine) completeOne(t *tstate) {
 	idx := 0
 	if m.rng.Float64() < m.eff.coRR {
 		idx = m.rng.Intn(len(t.pending))
 	} else if m.rng.Float64() < m.eff.loadRR {
-		var cands []int
-		for i, pl := range t.pending {
+		m.cands = m.cands[:0]
+		for i, p := range t.pending {
 			ok := true
 			for _, earlier := range t.pending[:i] {
-				if earlier.loc == pl.loc {
+				if m.loads[earlier].loc == m.loads[p].loc {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				cands = append(cands, i)
+				m.cands = append(m.cands, i)
 			}
 		}
-		if len(cands) > 0 {
-			idx = cands[m.rng.Intn(len(cands))]
+		if len(m.cands) > 0 {
+			idx = m.cands[m.rng.Intn(len(m.cands))]
 		}
 	}
 	m.completeAt(t, idx)
 }
 
-func (m *machine) completeAt(t *tstate, i int) {
-	pl := t.pending[i]
-	pl.val = m.readMem(t, pl.loc, pl.ca, pl.shared)
-	pl.done = true
+func (m *Machine) completeAt(t *tstate, i int) {
+	p := t.pending[i]
+	val := m.readMem(t, m.loads[p].loc, m.loads[p].ca, m.loads[p].shared)
+	m.loads[p].val, m.loads[p].done = val, true
 	t.pending = append(t.pending[:i], t.pending[i+1:]...)
 }
 
-// drainOne moves the store buffer's head to the SM queue (stage 1: the
-// store becomes visible to the CTA).
-func (m *machine) drainOne(t *tstate) { m.drainAt(t, 0) }
-
-func (m *machine) drainAt(t *tstate, i int) {
+// drainAt moves the store buffer's i-th entry to the SM queue (stage 1:
+// the store becomes visible to the CTA).
+func (m *Machine) drainAt(t *tstate, i int) {
 	e := t.sb[i]
 	t.sb = append(t.sb[:i], t.sb[i+1:]...)
-	sm := m.sms[t.cta]
+	sm := &m.sms[t.cta]
 	if e.shared {
 		sm.shared[e.loc] = e.val
 		return
@@ -539,10 +659,10 @@ func (m *machine) drainAt(t *tstate, i int) {
 // head; with the chip's write-write commit probability, a younger entry to
 // a different location may commit first (visible inter-CTA even under
 // membar.cta).
-func (m *machine) commitOne(sm *smState) {
+func (m *Machine) commitOne(sm *smState) {
 	idx := 0
 	if m.rng.Float64() < m.eff.wwCommit {
-		var cands []int
+		m.cands = m.cands[:0]
 		for i, e := range sm.queue {
 			ok := true
 			for _, earlier := range sm.queue[:i] {
@@ -552,17 +672,17 @@ func (m *machine) commitOne(sm *smState) {
 				}
 			}
 			if ok {
-				cands = append(cands, i)
+				m.cands = append(m.cands, i)
 			}
 		}
-		if len(cands) > 0 {
-			idx = cands[m.rng.Intn(len(cands))]
+		if len(m.cands) > 0 {
+			idx = m.cands[m.rng.Intn(len(m.cands))]
 		}
 	}
 	m.commitAt(sm, idx)
 }
 
-func (m *machine) commitAt(sm *smState, i int) {
+func (m *Machine) commitAt(sm *smState, i int) {
 	e := sm.queue[i]
 	sm.queue = append(sm.queue[:i], sm.queue[i+1:]...)
 	if e.shared {
@@ -572,5 +692,5 @@ func (m *machine) commitAt(sm *smState, i int) {
 	m.l2[e.loc] = e.val
 	// Write-evict: the writing SM's own L1 line is evicted, so its threads
 	// observe their own committed stores; other SMs' lines go stale.
-	delete(sm.l1, e.loc)
+	sm.l1ok[e.loc] = false
 }
