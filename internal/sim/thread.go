@@ -63,8 +63,8 @@ type op struct {
 	pc    int // branch target
 }
 
-// decodeThread assigns register slots (declared registers first, then in
-// order of appearance) and decodes the program.
+// decodeThread assigns register slots in order of appearance and decodes
+// the program.
 func (m *Machine) decodeThread(tid, cta int, prog ptx.Program) thread {
 	th := thread{cta: cta, regSlot: make(map[ptx.Reg]int)}
 	slot := func(r ptx.Reg) int {
@@ -75,20 +75,6 @@ func (m *Machine) decodeThread(tid, cta int, prog ptx.Program) thread {
 			th.regNames = append(th.regNames, r)
 		}
 		return s
-	}
-	var decls []regv
-	for _, d := range m.test.Decls {
-		if d.Thread != tid {
-			continue
-		}
-		s := slot(d.Reg)
-		if s == len(decls) {
-			decls = append(decls, regv{})
-		}
-		decls[s] = regv{set: true}
-		if d.Loc != "" {
-			decls[s].base = m.locIdx[d.Loc] + 1
-		}
 	}
 	operand := func(o ptx.Operand) arg {
 		switch v := o.(type) {
@@ -171,8 +157,24 @@ func (m *Machine) decodeThread(tid, cta int, prog ptx.Program) thread {
 		}
 		th.prog[pc] = o
 	}
+	// Declared registers start in the final state; an address register
+	// starts holding its location. A later declaration wins.
+	for _, d := range m.test.Decls {
+		if d.Thread == tid {
+			slot(d.Reg)
+		}
+	}
 	th.regInit = make([]regv, len(th.regNames))
-	copy(th.regInit, decls)
+	for _, d := range m.test.Decls {
+		if d.Thread != tid {
+			continue
+		}
+		v := regv{set: true}
+		if d.Loc != "" {
+			v.base = m.locIdx[d.Loc] + 1
+		}
+		th.regInit[th.regSlot[d.Reg]] = v
+	}
 	return th
 }
 
