@@ -110,8 +110,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-model", "nope", "coRR"}, &buf); !errors.Is(err, errBadModel) {
 		t.Errorf("unknown model: %v (must map to exit 2)", err)
 	}
-	if err := run([]string{"no-such-test"}, &buf); err == nil || errors.Is(err, errNoTests) || errors.Is(err, errBadModel) {
+	err := run([]string{"no-such-test"}, &buf)
+	if err == nil || errors.Is(err, errNoTests) || errors.Is(err, errBadModel) {
 		t.Errorf("unresolvable test: %v (must map to exit 1)", err)
+	}
+	if want := `gpuherd: "no-such-test" is neither a known test nor a readable file: open no-such-test: no such file or directory`; err == nil || err.Error() != want {
+		t.Errorf("unresolvable test error:\n got %v\nwant %s", err, want)
 	}
 }
 

@@ -76,8 +76,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-incant", "zz", "coRR"}, &buf, io.Discard); err == nil {
 		t.Error("unknown incantation must error")
 	}
-	if err := run([]string{"no-such-test"}, &buf, io.Discard); err == nil {
-		t.Error("unresolvable test must error")
+	err := run([]string{"no-such-test"}, &buf, io.Discard)
+	if want := `gpulitmus: "no-such-test" is neither a known test nor a readable file: open no-such-test: no such file or directory`; err == nil || err.Error() != want {
+		t.Errorf("unresolvable test error:\n got %v\nwant %s", err, want)
 	}
 }
 

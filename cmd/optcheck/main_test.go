@@ -68,7 +68,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-bug", "nope", "coRR"}, &buf); !errors.Is(err, errBadBug) {
 		t.Errorf("unknown bug: %v (must map to exit 2)", err)
 	}
-	if err := run([]string{"no-such-test"}, &buf); err == nil || errors.Is(err, errNoTests) {
+	err := run([]string{"no-such-test"}, &buf)
+	if err == nil || errors.Is(err, errNoTests) {
 		t.Errorf("unresolvable test: %v (must map to exit 1)", err)
+	}
+	if want := `optcheck: "no-such-test" is neither a known test nor a readable file: open no-such-test: no such file or directory`; err == nil || err.Error() != want {
+		t.Errorf("unresolvable test error:\n got %v\nwant %s", err, want)
 	}
 }
