@@ -17,6 +17,7 @@ import (
 	"os"
 
 	gpulitmus "github.com/weakgpu/gpulitmus"
+	"github.com/weakgpu/gpulitmus/internal/core"
 )
 
 func main() {
@@ -56,17 +57,8 @@ func run(argv []string, w io.Writer) error {
 		return errFlagParse
 	}
 
-	var model *gpulitmus.Model
-	switch *modelName {
-	case "ptx":
-		model = gpulitmus.PTXModel()
-	case "sc":
-		model = gpulitmus.SCModel()
-	case "rmo":
-		model = gpulitmus.RMOModel()
-	case "op":
-		model = gpulitmus.OperationalModel()
-	default:
+	model, err := core.ModelByName(*modelName)
+	if err != nil {
 		return fmt.Errorf("%w %q", errBadModel, *modelName)
 	}
 
@@ -88,9 +80,9 @@ func run(argv []string, w io.Writer) error {
 			tr = gpulitmus.NewTrace("")
 			ctx = gpulitmus.WithTrace(ctx, tr)
 		}
-		test, err := resolveTest(ctx, arg)
+		test, err := gpulitmus.ResolveTest(ctx, arg)
 		if err != nil {
-			return err
+			return fmt.Errorf("gpuherd: %w", err)
 		}
 		if ok, reason := gpulitmus.ModelCovers(test); !ok && *modelName == "ptx" {
 			fmt.Fprintf(w, "Test %s: outside the model's documented scope (%s); verdict is advisory\n", test.Name, reason)
@@ -123,15 +115,4 @@ func run(argv []string, w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func resolveTest(ctx context.Context, arg string) (*gpulitmus.Test, error) {
-	if t, err := gpulitmus.TestByName(arg); err == nil {
-		return t, nil
-	}
-	src, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, fmt.Errorf("gpuherd: %q is neither a known test nor a readable file: %w", arg, err)
-	}
-	return gpulitmus.ParseTestCtx(ctx, string(src))
 }

@@ -117,6 +117,13 @@ func TestRunErrors(t *testing.T) {
 	if want := `gpuherd: "no-such-test" is neither a known test nor a readable file: open no-such-test: no such file or directory`; err == nil || err.Error() != want {
 		t.Errorf("unresolvable test error:\n got %v\nwant %s", err, want)
 	}
+	bad := filepath.Join(t.TempDir(), "bad.litmus")
+	if err := os.WriteFile(bad, []byte("not a litmus test\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{bad}, &buf); err == nil || !strings.HasPrefix(err.Error(), "gpuherd: litmus: ") {
+		t.Errorf("unparsable file error %v, want the gpuherd: litmus: prefix", err)
+	}
 }
 
 // TestStaticFlag: -static skips enumeration on statically decided tests

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -73,9 +74,9 @@ func run(argv []string, w io.Writer) error {
 		tests = gpulitmus.PaperTests()
 	}
 	for _, arg := range fs.Args() {
-		t, err := resolveTest(arg)
+		t, err := gpulitmus.ResolveTest(context.Background(), arg)
 		if err != nil {
-			return err
+			return fmt.Errorf("gpulint: %w", err)
 		}
 		tests = append(tests, t)
 	}
@@ -236,15 +237,4 @@ func writeReport(w io.Writer, r *gpulitmus.AnalysisReport) {
 		fmt.Fprintf(w, " %s=%s", k, r.Static[k])
 	}
 	fmt.Fprintln(w)
-}
-
-func resolveTest(arg string) (*gpulitmus.Test, error) {
-	if t, err := gpulitmus.TestByName(arg); err == nil {
-		return t, nil
-	}
-	src, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, fmt.Errorf("gpulint: %q is neither a known test nor a readable file: %w", arg, err)
-	}
-	return gpulitmus.ParseTest(string(src))
 }

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -82,8 +83,8 @@ func run(argv []string, w, ew io.Writer) error {
 	}
 	tests := make([]*gpulitmus.Test, fs.NArg())
 	for i, arg := range fs.Args() {
-		if tests[i], err = resolveTest(arg); err != nil {
-			return err
+		if tests[i], err = gpulitmus.ResolveTest(context.Background(), arg); err != nil {
+			return fmt.Errorf("gpulitmus: %w", err)
 		}
 	}
 	if *kernel {
@@ -133,17 +134,6 @@ func run(argv []string, w, ew io.Writer) error {
 		fmt.Fprintln(w, res.Outcome(ti, 0, 0))
 	}
 	return nil
-}
-
-func resolveTest(arg string) (*gpulitmus.Test, error) {
-	if t, err := gpulitmus.TestByName(arg); err == nil {
-		return t, nil
-	}
-	src, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, fmt.Errorf("gpulitmus: %q is neither a known test nor a readable file: %w", arg, err)
-	}
-	return gpulitmus.ParseTest(string(src))
 }
 
 // parseIncant delegates to the canonical parser in gpulitmus.ParseIncant,

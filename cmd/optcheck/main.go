@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -84,9 +85,9 @@ func run(argv []string, w io.Writer) error {
 	}
 	miscompiled := false
 	for _, arg := range fs.Args() {
-		test, err := resolveTest(arg)
+		test, err := gpulitmus.ResolveTest(context.Background(), arg)
 		if err != nil {
-			return err
+			return fmt.Errorf("optcheck: %w", err)
 		}
 		vs, err := gpulitmus.CheckCompile(test, opts)
 		if err != nil {
@@ -106,15 +107,4 @@ func run(argv []string, w io.Writer) error {
 		return errMiscompiled
 	}
 	return nil
-}
-
-func resolveTest(arg string) (*gpulitmus.Test, error) {
-	if t, err := gpulitmus.TestByName(arg); err == nil {
-		return t, nil
-	}
-	src, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, fmt.Errorf("optcheck: %q is neither a known test nor a readable file: %w", arg, err)
-	}
-	return gpulitmus.ParseTest(string(src))
 }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("== mp under the PTX model (RMO per scope, Figs. 15-16) ==")
 	for _, f := range []gpulitmus.Fence{gpulitmus.NoFence, gpulitmus.FenceCTA, gpulitmus.FenceGL, gpulitmus.FenceSys} {
 		name := "mp"
@@ -39,11 +41,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ptxV, err := gpulitmus.JudgeUnder(gpulitmus.PTXModel(), test)
+	ptxV, err := gpulitmus.JudgeWith(ctx, gpulitmus.PTXModel(), test, gpulitmus.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	opV, err := gpulitmus.JudgeUnder(gpulitmus.OperationalModel(), test)
+	opV, err := gpulitmus.JudgeWith(ctx, gpulitmus.OperationalModel(), test, gpulitmus.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,11 +8,14 @@
 //
 // Quick start:
 //
-//	test := gpulitmus.MustParseTest(src)           // or gpulitmus.TestByName("coRR")
+//	test, _ := gpulitmus.ResolveTest(ctx, "coRR")  // a paper test's name or a litmus file
 //	out, _ := gpulitmus.Run(test, gpulitmus.RunConfig{Chip: gpulitmus.ChipTitan})
 //	fmt.Println(out)                               // histogram + Observation line
 //	v, _ := gpulitmus.Judge(test)                  // is the outcome allowed by the model?
 //	fmt.Println(v)
+//
+// JudgeWith takes an explicit model and Opts (parallelism, the static
+// prefilter): gpulitmus.JudgeWith(ctx, gpulitmus.SCModel(), test, gpulitmus.Opts{}).
 //
 // Cross-test sweeps — the shape of every result table in the paper — go
 // through the concurrent campaign engine rather than a serial loop:
@@ -25,12 +28,12 @@
 //	})
 //	fmt.Println(res.Outcome(0, 0, 0))              // first test on first chip
 //
-// A Campaign expands its matrix (tests × chips × incantations × fences)
-// into jobs, executes them on a bounded work-stealing worker pool, and
-// aggregates outcomes in matrix order. Per-job seeds derive
-// deterministically from the base seed, so results are byte-identical for
-// every worker count. SweepStream delivers outcomes as they complete for
-// progress-oriented consumers.
+// A Campaign expands its matrix (tests × chips × incantations) into jobs,
+// executes them on a bounded work-stealing worker pool, and aggregates
+// outcomes in matrix order. Per-job seeds derive deterministically from the
+// base seed, so results are byte-identical for every worker count.
+// SweepStream delivers outcomes as they complete for progress-oriented
+// consumers.
 //
 // The hardware the paper measured is simulated; see DESIGN.md for the
 // substitution argument and EXPERIMENTS.md for paper-vs-measured tables.
@@ -38,7 +41,9 @@ package gpulitmus
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"os"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
 	"github.com/weakgpu/gpulitmus/internal/apps"
@@ -75,7 +80,7 @@ type (
 	Verdict = core.Verdict
 	// Opts selects how a verdict operation runs — parallelism, the
 	// static prefilter, enumeration bounds; the zero value is the default.
-	// Memo's Verdict, Analyse and Repair take it.
+	// JudgeWith and Memo's Verdict, Analyse and Repair take it.
 	Opts = core.Opts
 	// App is an end-to-end application study of Sec. 3.2.
 	App = apps.App
@@ -88,7 +93,7 @@ type (
 	// GeneratedTest pairs a diy cycle with its synthesised test.
 	GeneratedTest = diy.GeneratedTest
 	// Campaign declares a sweep matrix — tests × chips × incantations ×
-	// fences × run budget — executed concurrently by Sweep.
+	// run budget — executed concurrently by Sweep.
 	Campaign = campaign.Spec
 	// CampaignJob is one expanded unit of campaign work.
 	CampaignJob = campaign.Job
@@ -220,6 +225,20 @@ func TestByName(name string) (*Test, error) { return litmus.ByName(name) }
 // PaperTests returns every litmus test appearing in the paper's figures.
 func PaperTests() []*Test { return litmus.PaperTests() }
 
+// ResolveTest resolves a command-line test argument: a paper test by name
+// (a name wins over a file of the same name), else a litmus file, parsed
+// with ctx's trace accruing the parse phase, else an error.
+func ResolveTest(ctx context.Context, arg string) (*Test, error) {
+	if t, err := litmus.ByName(arg); err == nil {
+		return t, nil
+	}
+	src, err := os.ReadFile(arg)
+	if err != nil {
+		return nil, fmt.Errorf("%q is neither a known test nor a readable file: %w", arg, err)
+	}
+	return litmus.ParseCtx(ctx, string(src))
+}
+
 // RunConfig parameterises a harness run.
 type RunConfig struct {
 	Chip   *Chip
@@ -249,7 +268,9 @@ func Sweep(c Campaign) (*SweepResult, error) { return campaign.Run(c) }
 // as it completes (completion order). The channel closes after the last
 // job; the caller must drain it. Individual outcomes are still
 // deterministic per job — only delivery order varies.
-func SweepStream(c Campaign) <-chan CampaignResult { return campaign.Stream(c) }
+func SweepStream(c Campaign) <-chan CampaignResult {
+	return campaign.StreamCtx(context.Background(), c)
+}
 
 // PTXModel returns the paper's model of Nvidia GPUs (Figs. 15 and 16).
 func PTXModel() *Model { return core.PTX() }
@@ -271,15 +292,14 @@ func OperationalModel() *Model { return core.SorensenOp() }
 // deterministic regardless of parallelism.
 func Judge(t *Test) (*Verdict, error) { return core.Judge(core.PTX(), t) }
 
-// JudgeUnder decides the final condition under an explicit model.
-func JudgeUnder(m *Model, t *Test) (*Verdict, error) { return core.Judge(m, t) }
-
-// JudgeUnderP is JudgeUnder with an explicit evaluation parallelism: 0
-// auto-sizes to GOMAXPROCS (staying serial for small enumerations), 1
-// forces serial, n > 1 forces n workers. Verdicts are identical for every
-// choice.
-func JudgeUnderP(m *Model, t *Test, parallelism int) (*Verdict, error) {
-	return core.JudgeWith(context.Background(), m, t, Opts{Parallelism: parallelism})
+// JudgeWith decides the final condition under an explicit model and
+// options, with ctx's cancellation and trace. Opts.Parallelism 0 auto-sizes
+// to GOMAXPROCS (staying serial for small enumerations), 1 forces serial,
+// n > 1 forces n workers; Opts.Static puts the static prefilter in front,
+// so decided verdicts skip enumeration and carry Verdict.StaticSkipped.
+// Verdicts are identical for every choice.
+func JudgeWith(ctx context.Context, m *Model, t *Test, o Opts) (*Verdict, error) {
+	return core.JudgeWith(ctx, m, t, o)
 }
 
 // ModelCovers reports whether the test is within the PTX model's documented
@@ -296,12 +316,6 @@ func Analyze(t *Test) *AnalysisReport { return analysis.Analyze(t) }
 // agree with the full Judge verdict (Witnesses == 0 / > 0 respectively);
 // StaticUnknown means the analysis cannot decide and is always safe.
 func StaticPrefilter(m *Model, t *Test) StaticResult { return analysis.Prefilter(t, m.Policy()) }
-
-// JudgeStatic is JudgeUnder with the static prefilter in front: decided
-// verdicts skip enumeration entirely and carry Verdict.StaticSkipped.
-func JudgeStatic(m *Model, t *Test) (*Verdict, error) {
-	return core.JudgeWith(context.Background(), m, t, Opts{Static: true})
-}
 
 // RepairTest synthesizes the minimal set of fence insertions or
 // strengthenings that makes the test's exists-condition Never under the
@@ -422,12 +436,6 @@ func Serve(ctx context.Context, addr string, cfg ServiceConfig, ready func(net.A
 // NewClient returns a Go client for a gpulitmusd service at baseURL
 // (e.g. "http://127.0.0.1:7980").
 func NewClient(baseURL string) *ServiceClient { return service.NewClient(baseURL) }
-
-// Fingerprint returns the content-addressed identity of a test — the hex
-// SHA-256 of its canonicalised threads, declarations, memory map and final
-// condition, independent of its name. Identical-content tests share cache
-// entries in the service and the campaign memo.
-func Fingerprint(t *Test) string { return t.Fingerprint() }
 
 // GenerateKernel emits the CUDA-style kernel source the paper's tool
 // produces for a test (Sec. 4.2): testing threads selected by global id,

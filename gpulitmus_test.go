@@ -1,6 +1,8 @@
 package gpulitmus
 
 import (
+	"context"
+	"os"
 	"strings"
 	"testing"
 )
@@ -89,24 +91,103 @@ func TestFacadeSweep(t *testing.T) {
 }
 
 func TestFacadeModels(t *testing.T) {
+	ctx := context.Background()
 	test, _ := TestByName("lb+membar.ctas")
-	ptxV, err := JudgeUnder(PTXModel(), test)
+	ptxV, err := JudgeWith(ctx, PTXModel(), test, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opV, err := JudgeUnder(OperationalModel(), test)
+	opV, err := JudgeWith(ctx, OperationalModel(), test, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ptxV.Observable || opV.Observable {
 		t.Errorf("Sec. 6 divergence lost: ptx=%v op=%v", ptxV.Observable, opV.Observable)
 	}
-	scV, err := JudgeUnder(SCModel(), test)
+	scV, err := JudgeWith(ctx, SCModel(), test, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if scV.Observable {
 		t.Error("SC must forbid lb")
+	}
+}
+
+// TestJudgeWith: each option changes only how the verdict is reached.
+// Static decides a fenced mp without enumerating; an explicit parallelism
+// renders the same verdict as the serial default.
+func TestJudgeWith(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name, test  string
+		opts        Opts
+		want        string
+		wantSkipped bool
+	}{
+		{"static", "mp+membar.gls", Opts{Static: true}, "Test mp+membar.gls: Never (static, enumeration skipped) under PTX", true},
+		{"parallelism", "mp", Opts{Parallelism: 4}, "Test mp: Sometimes (4/4 candidates allowed, 1 witnesses) under PTX", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			test, err := TestByName(tc.test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := JudgeWith(ctx, PTXModel(), test, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := v.String(); !strings.HasPrefix(got, tc.want) || v.StaticSkipped != tc.wantSkipped {
+				t.Errorf("verdict %q (static skipped %v), want %q (%v)", got, v.StaticSkipped, tc.want, tc.wantSkipped)
+			}
+			plain, err := Judge(test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Observable != plain.Observable {
+				t.Errorf("observable %v, Judge says %v", v.Observable, plain.Observable)
+			}
+		})
+	}
+}
+
+// TestResolveTest: a paper test's name wins, else the argument is read and
+// parsed as a litmus file, else the error names both failures.
+func TestResolveTest(t *testing.T) {
+	t.Chdir(t.TempDir())
+	mp, err := TestByName("mp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A file holding mp's source, and one named like a paper test.
+	if err := os.WriteFile("mine.litmus", []byte(mp.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile("coRR", []byte(mp.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, arg, wantTest, wantErr string
+	}{
+		{"paper name", "sb", "sb", ""},
+		{"litmus file", "mine.litmus", "mp", ""},
+		{"unreadable path", "no-such-test", "", `"no-such-test" is neither a known test nor a readable file: open no-such-test: no such file or directory`},
+		{"name wins over file", "coRR", "coRR", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := ResolveTest(context.Background(), tc.arg)
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("err = %v, want %s", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Name != tc.wantTest {
+				t.Errorf("resolved %q, want %q", got.Name, tc.wantTest)
+			}
+		})
 	}
 }
 

@@ -163,12 +163,6 @@ func (x *Execution) Weight() int {
 // Ev returns the event with the given ID.
 func (x *Execution) Ev(id EventID) *Event { return x.Events[id] }
 
-// IsRead reports whether id is a read event.
-func (x *Execution) IsRead(id EventID) bool { return x.Ev(id).Kind == KRead }
-
-// IsWrite reports whether id is a write event.
-func (x *Execution) IsWrite(id EventID) bool { return x.Ev(id).Kind == KWrite }
-
 // CoRel returns coherence as a relation (w1 before w2 per location).
 func (x *Execution) CoRel() Rel {
 	return x.memo.co.get(func() Rel {

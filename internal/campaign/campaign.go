@@ -1,8 +1,7 @@
 // Package campaign is the concurrent sweep engine behind every cross-test
 // experiment: it expands a declarative matrix spec — tests × chips ×
-// incantations × fences × run budget — into jobs, executes them on a
-// bounded work-stealing worker pool, and aggregates the outcomes in matrix
-// order. Per-job seeds are derived deterministically from the base seed, so
+// incantations × run budget — into jobs, executes them on a bounded
+// work-stealing worker pool, and aggregates the outcomes in matrix order. Per-job seeds are derived deterministically from the base seed, so
 // a campaign's aggregated results are byte-identical regardless of worker
 // count or completion order. The paper's result tables (Figs. 3-4, Table 6,
 // the Sec. 5.4 validation) are all sweeps of this shape; package
@@ -13,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
@@ -23,19 +21,11 @@ import (
 	"github.com/weakgpu/gpulitmus/internal/pool"
 )
 
-// Spec declares a sweep matrix. The expanded test axis is Tests followed by
-// every Fenced maker instantiated at every Fence (in order); the job list
-// is the cross product with Chips and Incants, test-major.
+// Spec declares a sweep matrix. The job list is the cross product of
+// Tests, Chips and Incants, test-major.
 type Spec struct {
-	// Tests are concrete litmus tests to sweep.
+	// Tests are the litmus tests to sweep (required).
 	Tests []*litmus.Test
-	// Fenced are fence-parameterised test makers (the rows of Figs. 3-4);
-	// each is instantiated at every entry of Fences and appended to the
-	// test axis after Tests.
-	Fenced []func(litmus.Fence) *litmus.Test
-	// Fences instantiates Fenced; ignored when Fenced is empty. Empty
-	// Fences with non-empty Fenced is a spec error.
-	Fences []litmus.Fence
 	// Chips are the simulated profiles to sweep (required).
 	Chips []*chip.Profile
 	// Incants is the incantation axis; empty selects {chip.Default()}.
@@ -54,15 +44,6 @@ type Spec struct {
 	SeedFn func(Job) int64
 	// Parallelism bounds the worker pool (0 selects GOMAXPROCS).
 	Parallelism int
-	// RunParallelism is the within-job harness parallelism. The default
-	// splits the pool across the jobs — 1 when jobs outnumber workers,
-	// workers/jobs when a small matrix would otherwise idle cores (a
-	// single-test sweep still saturates the machine). Results never
-	// depend on it.
-	RunParallelism int
-	// Progress, when set, is called after each job completes with the
-	// number done and the total. Calls are serialised but unordered.
-	Progress func(done, total int)
 	// Sink, when set, receives one obs.CellEvent per cell lifecycle step:
 	// CellStart before the job runs (index and seed), then CellFinish
 	// (elapsed, runs, matches) or CellError (elapsed, error text). Events
@@ -136,16 +117,7 @@ func (s *Spec) expand() ([]Job, []*litmus.Test, []chip.Incant, error) {
 	if len(s.Chips) == 0 {
 		return nil, nil, nil, fmt.Errorf("campaign: no chips in spec")
 	}
-	if len(s.Fenced) > 0 && len(s.Fences) == 0 {
-		return nil, nil, nil, fmt.Errorf("campaign: fenced test makers without fences")
-	}
-	tests := make([]*litmus.Test, 0, len(s.Tests)+len(s.Fenced)*len(s.Fences))
-	tests = append(tests, s.Tests...)
-	for _, mk := range s.Fenced {
-		for _, f := range s.Fences {
-			tests = append(tests, mk(f))
-		}
-	}
+	tests := s.Tests
 	if len(tests) == 0 {
 		return nil, nil, nil, fmt.Errorf("campaign: no tests in spec")
 	}
@@ -195,12 +167,12 @@ func (s *Spec) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runParallelism resolves the within-job harness parallelism for a
-// campaign of numJobs jobs.
+// runParallelism is the within-job harness parallelism for a campaign of
+// numJobs jobs: the pool split across the jobs — 1 when jobs outnumber
+// workers, workers/jobs when a small matrix would otherwise idle cores (a
+// single-test sweep still saturates the machine). Results never depend on
+// it.
 func (s *Spec) runParallelism(numJobs int) int {
-	if s.RunParallelism > 0 {
-		return s.RunParallelism
-	}
 	if per := s.workers() / numJobs; per > 1 {
 		return per
 	}
@@ -209,28 +181,12 @@ func (s *Spec) runParallelism(numJobs int) int {
 
 // runJob executes one job — through RunJob when the spec overrides it, the
 // harness otherwise — under ctx (cancellation aborts the run between
-// iterations, see harness.RunCtx).
+// iterations, see harness.RunCtx), bracketed by the Sink's cell events.
 func (s *Spec) runJob(ctx context.Context, j Job, runPar int) (*harness.Outcome, error) {
 	if s.Sink != nil {
 		s.Sink(obs.CellEvent{Kind: obs.CellStart, Index: j.Index, Seed: j.Seed})
-		t0 := time.Now()
-		out, err := s.runJobInner(ctx, j, runPar)
-		ev := obs.CellEvent{Index: j.Index, Seed: j.Seed, Elapsed: time.Since(t0)}
-		if err != nil {
-			ev.Kind = obs.CellError
-			ev.Err = err.Error()
-		} else {
-			ev.Kind = obs.CellFinish
-			ev.Runs = out.Runs
-			ev.Matches = out.Matches
-		}
-		s.Sink(ev)
-		return out, err
 	}
-	return s.runJobInner(ctx, j, runPar)
-}
-
-func (s *Spec) runJobInner(ctx context.Context, j Job, runPar int) (*harness.Outcome, error) {
+	t0 := time.Now()
 	var out *harness.Outcome
 	var err error
 	if s.RunJob != nil {
@@ -245,14 +201,42 @@ func (s *Spec) runJobInner(ctx context.Context, j Job, runPar int) (*harness.Out
 		})
 	}
 	if err != nil {
-		return nil, fmt.Errorf("campaign: %s on %s: %w", j.Test.Name, j.Chip.ShortName, err)
+		out, err = nil, fmt.Errorf("campaign: %s on %s: %w", j.Test.Name, j.Chip.ShortName, err)
 	}
-	return out, nil
+	if s.Sink != nil {
+		ev := obs.CellEvent{Kind: obs.CellFinish, Index: j.Index, Seed: j.Seed, Elapsed: time.Since(t0)}
+		if err != nil {
+			ev.Kind, ev.Err = obs.CellError, err.Error()
+		} else {
+			ev.Runs, ev.Matches = out.Runs, out.Matches
+		}
+		s.Sink(ev)
+	}
+	return out, err
+}
+
+// execute runs every job on the pool under ctx and hands each job's Result
+// to deliver, from the worker that ran it. Once ctx is cancelled no new job
+// starts and a job cancelled mid-run is dropped; a deliver error likewise
+// stops new jobs from starting.
+func (s *Spec) execute(ctx context.Context, jobs []Job, deliver func(Result) error) error {
+	runPar := s.runParallelism(len(jobs))
+	return pool.ForEach(len(jobs), s.workers(), func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		out, err := s.runJob(ctx, jobs[i], runPar)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return deliver(Result{Job: jobs[i], Outcome: out, Err: err})
+	})
 }
 
 // Run expands the spec, executes every job on the pool, and aggregates the
-// outcomes in matrix order. The first error (by job index) aborts the
-// campaign. The aggregate is deterministic in the spec alone.
+// outcomes in matrix order. A failed job fails the campaign with the error
+// of the lowest failing job index, so both the aggregate and the error are
+// deterministic in the spec alone.
 func Run(spec Spec) (*Aggregate, error) {
 	jobs, tests, incants, err := spec.expand()
 	if err != nil {
@@ -265,45 +249,26 @@ func Run(spec Spec) (*Aggregate, error) {
 		Jobs:     jobs,
 		Outcomes: make([]*harness.Outcome, len(jobs)),
 	}
-	runPar := spec.runParallelism(len(jobs))
-	var mu sync.Mutex
-	done := 0
-	err = pool.ForEach(len(jobs), spec.workers(), func(i int) error {
-		out, err := spec.runJob(context.Background(), jobs[i], runPar)
-		if err != nil {
-			return err
-		}
-		agg.Outcomes[i] = out
-		if spec.Progress != nil {
-			mu.Lock()
-			done++
-			spec.Progress(done, len(jobs))
-			mu.Unlock()
-		}
+	errs := make([]error, len(jobs))
+	_ = spec.execute(context.Background(), jobs, func(r Result) error {
+		agg.Outcomes[r.Job.Index], errs[r.Job.Index] = r.Outcome, r.Err
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return agg, nil
 }
 
-// Stream expands the spec and streams each job's Result as it completes
-// (completion order, hence nondeterministic ordering; the outcomes
-// themselves are still deterministic per job). The channel is closed when
-// every job has been delivered. A spec error is delivered as a single
-// Result with Err set.
-func Stream(spec Spec) <-chan Result {
-	return StreamCtx(context.Background(), spec)
-}
-
-// StreamCtx is Stream under a context: once ctx is cancelled no new job is
-// started, jobs already in flight abort between harness iterations
-// (harness.RunCtx), and no further Result is delivered — the channel
-// closes promptly without blocking on a reader that has gone away.
-// Individual job outcomes remain deterministic; cancellation only
-// truncates the stream. The service layer passes request-scoped contexts
-// so an abandoned sweep stops burning the worker pool.
+// StreamCtx expands the spec and streams each job's Result as it
+// completes, in completion order (each outcome is still deterministic). A
+// failed job is delivered with Err set and the rest keep streaming; a spec
+// error is one Result with Err set. The channel closes after the last
+// Result. Once ctx is cancelled no new job starts, jobs in flight abort
+// between harness iterations, and no further Result is delivered, so an
+// abandoned sweep (the service passes request contexts) stops promptly.
 func StreamCtx(ctx context.Context, spec Spec) <-chan Result {
 	ch := make(chan Result)
 	go func() {
@@ -316,30 +281,13 @@ func StreamCtx(ctx context.Context, spec Spec) <-chan Result {
 			}
 			return
 		}
-		runPar := spec.runParallelism(len(jobs))
-		var mu sync.Mutex
-		done := 0
-		_ = pool.ForEach(len(jobs), spec.workers(), func(i int) error {
-			if ctx.Err() != nil {
-				// Abort the pool: no new jobs are taken after an error.
-				return ctx.Err()
-			}
-			out, err := spec.runJob(ctx, jobs[i], runPar)
-			if ctx.Err() != nil {
-				return ctx.Err() // cancelled mid-job: drop the partial result
-			}
+		_ = spec.execute(ctx, jobs, func(r Result) error {
 			select {
-			case ch <- Result{Job: jobs[i], Outcome: out, Err: err}:
+			case ch <- r:
+				return nil
 			case <-ctx.Done():
 				return ctx.Err()
 			}
-			if spec.Progress != nil {
-				mu.Lock()
-				done++
-				spec.Progress(done, len(jobs))
-				mu.Unlock()
-			}
-			return nil // keep streaming the remaining jobs after a failure
 		})
 	}()
 	return ch

@@ -3,13 +3,17 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
 	"github.com/weakgpu/gpulitmus/internal/core"
+	"github.com/weakgpu/gpulitmus/internal/harness"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/obs"
 )
 
 // shortSpec is a small tests×chips matrix that exercises every engine path
@@ -64,25 +68,29 @@ func TestDeterministicAcrossWorkerCount(t *testing.T) {
 }
 
 // TestShortCampaign is the -short/-race smoke: one small campaign through
-// the concurrent engine with a progress callback and expanded axes checks.
+// the concurrent engine with a cell sink and expanded axes checks.
 func TestShortCampaign(t *testing.T) {
 	var mu sync.Mutex
-	var calls []int
+	finished := make(map[int]int)
 	spec := shortSpec(4)
-	spec.Progress = func(done, total int) {
+	spec.Sink = func(ev obs.CellEvent) {
 		mu.Lock()
 		defer mu.Unlock()
-		if total != 6 {
-			t.Errorf("progress total = %d", total)
+		if ev.Kind == obs.CellFinish {
+			finished[ev.Index]++
 		}
-		calls = append(calls, done)
 	}
 	agg, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) != 6 {
-		t.Errorf("progress called %d times", len(calls))
+	if len(finished) != 6 {
+		t.Errorf("sink saw %d finished cells, want 6", len(finished))
+	}
+	for i, n := range finished {
+		if n != 1 {
+			t.Errorf("cell %d finished %d times", i, n)
+		}
 	}
 	if len(agg.Tests) != 3 || len(agg.Chips) != 2 || len(agg.Incants) != 1 {
 		t.Errorf("axes %d×%d×%d", len(agg.Tests), len(agg.Chips), len(agg.Incants))
@@ -99,13 +107,18 @@ func TestShortCampaign(t *testing.T) {
 	}
 }
 
-func TestFencedExpansionAndSeedFn(t *testing.T) {
+func TestSeedFn(t *testing.T) {
 	var seedCalls atomic.Int64
+	var tests []*litmus.Test
+	for _, mk := range []func(litmus.Fence) *litmus.Test{litmus.MP, litmus.MPL1} {
+		for _, f := range litmus.Fences {
+			tests = append(tests, mk(f))
+		}
+	}
 	spec := Spec{
-		Fenced: []func(litmus.Fence) *litmus.Test{litmus.MP, litmus.MPL1},
-		Fences: litmus.Fences,
-		Chips:  []*chip.Profile{chip.GTXTitan},
-		Runs:   100,
+		Tests: tests,
+		Chips: []*chip.Profile{chip.GTXTitan},
+		Runs:  100,
 		SeedFn: func(j Job) int64 {
 			seedCalls.Add(1)
 			return int64(j.TestIndex*31 + j.ChipIndex)
@@ -116,10 +129,7 @@ func TestFencedExpansionAndSeedFn(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(agg.Tests) != 8 { // 2 makers × 4 fences
-		t.Fatalf("expanded tests = %d", len(agg.Tests))
-	}
-	if agg.Tests[0].Name != litmus.MP(litmus.NoFence).Name {
-		t.Errorf("first expanded test = %s", agg.Tests[0].Name)
+		t.Fatalf("tests = %d", len(agg.Tests))
 	}
 	if seedCalls.Load() != 8 {
 		t.Errorf("SeedFn called %d times", seedCalls.Load())
@@ -160,17 +170,28 @@ func TestSpecErrors(t *testing.T) {
 	if _, err := Run(Spec{Chips: []*chip.Profile{chip.GTXTitan}}); err == nil {
 		t.Error("no tests must error")
 	}
-	if _, err := Run(Spec{
-		Fenced: []func(litmus.Fence) *litmus.Test{litmus.MP},
-		Chips:  []*chip.Profile{chip.GTXTitan},
-	}); err == nil {
-		t.Error("fenced makers without fences must error")
+}
+
+// TestRunLowestIndexError: a campaign whose jobs fail reports the failure
+// of the lowest job index, whatever the worker count or completion order.
+func TestRunLowestIndexError(t *testing.T) {
+	spec := shortSpec(4)
+	spec.RunJob = func(ctx context.Context, j Job, _ int) (*harness.Outcome, error) {
+		if j.Index == 1 || j.Index == 4 {
+			return nil, fmt.Errorf("job %d failed", j.Index)
+		}
+		return &harness.Outcome{}, nil
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "job 1 failed") {
+			t.Fatalf("err = %v, want the job 1 failure", err)
+		}
 	}
 }
 
 func TestStreamDeliversEveryJob(t *testing.T) {
 	seen := make(map[int]bool)
-	for r := range Stream(shortSpec(4)) {
+	for r := range StreamCtx(context.Background(), shortSpec(4)) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -189,7 +210,7 @@ func TestStreamDeliversEveryJob(t *testing.T) {
 
 func TestStreamSpecError(t *testing.T) {
 	var got []Result
-	for r := range Stream(Spec{}) {
+	for r := range StreamCtx(context.Background(), Spec{}) {
 		got = append(got, r)
 	}
 	if len(got) != 1 || got[0].Err == nil {
@@ -361,23 +382,5 @@ func TestStreamCtxCancelTruncates(t *testing.T) {
 	// flight may have slipped through, never the whole campaign.
 	if got >= 6 {
 		t.Errorf("read %d of 6 results after cancelling at the first", got)
-	}
-}
-
-// TestStreamCtxBackgroundMatchesStream: an uncancelled StreamCtx delivers
-// every job exactly once, like Stream.
-func TestStreamCtxBackgroundMatchesStream(t *testing.T) {
-	seen := make(map[int]bool)
-	for res := range StreamCtx(context.Background(), shortSpec(4)) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if seen[res.Job.Index] {
-			t.Fatalf("job %d delivered twice", res.Job.Index)
-		}
-		seen[res.Job.Index] = true
-	}
-	if len(seen) != 6 {
-		t.Errorf("delivered %d of 6 jobs", len(seen))
 	}
 }

@@ -147,6 +147,22 @@ func SorensenOp() *Model {
 	return m
 }
 
+// ModelByName compiles a fresh builtin model by its command-line and wire
+// name: ptx, sc, rmo, or op (the operational model Sec. 6 refutes).
+func ModelByName(name string) (*Model, error) {
+	switch name {
+	case "ptx":
+		return PTX(), nil
+	case "sc":
+		return SC(), nil
+	case "rmo":
+		return RMO(), nil
+	case "op":
+		return SorensenOp(), nil
+	}
+	return nil, fmt.Errorf("unknown model %q (known: ptx, sc, rmo, op)", name)
+}
+
 // Covers reports whether the test is within the model's documented scope
 // (Sec. 5.5): only .cg accesses to global memory; .ca and .volatile
 // accesses and shared-memory locations are outside it. Atomic RMWs are

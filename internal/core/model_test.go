@@ -202,3 +202,25 @@ func TestVerdictString(t *testing.T) {
 		t.Error("observable verdict must carry a witness")
 	}
 }
+
+// TestModelByName: every builtin name compiles its model afresh, and an
+// unknown name lists the known ones.
+func TestModelByName(t *testing.T) {
+	for _, name := range []string{"ptx", "sc", "rmo", "op"} {
+		a, err := ModelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := ModelByName(name)
+		if a == b || a.Fingerprint() != b.Fingerprint() {
+			t.Errorf("%s: want two distinct compilations of one source", name)
+		}
+	}
+	if m, _ := ModelByName("ptx"); m.Name != "PTX" {
+		t.Errorf("ptx compiles %s", m.Name)
+	}
+	_, err := ModelByName("nope")
+	if want := `unknown model "nope" (known: ptx, sc, rmo, op)`; err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %s", err, want)
+	}
+}

@@ -241,21 +241,6 @@ func Fig6Push(fenced bool) []Stmt {
 	)
 }
 
-// Fig6Steal is the deque steal of Fig. 6: read tail, and if a task is
-// present (tail != 0 distils to the flag read of Fig. 7), read the task.
-func Fig6Steal(fenced bool) []Stmt {
-	s := []Stmt{Load{Dst: "r0", Addr: "tail", Volatile: true}}
-	then := []Stmt{}
-	_ = then
-	if fenced {
-		// Fig. 7 guards the fence and load on the flag: model with the
-		// negated-predicate idiom at the PTX level via DistilDlbMP; at
-		// the CUDA level the fence simply precedes the task read.
-		s = append(s, Threadfence{})
-	}
-	return append(s, Load{Dst: "r1", Addr: "task0"})
-}
-
 // Fig10Lock is the He–Yu spin lock of Fig. 10 with its critical-section
 // read, in original (broken) or repaired form.
 func Fig10Lock(fixed bool) (criticalRead []Stmt, release []Stmt) {

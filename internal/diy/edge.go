@@ -150,12 +150,3 @@ func ParseEdges(specs string) ([]Edge, error) {
 	}
 	return edges, nil
 }
-
-// EdgeNames returns all base edge names, for documentation and CLIs.
-func EdgeNames() []string {
-	names := make([]string, 0, len(baseEdges))
-	for n := range baseEdges {
-		names = append(names, n)
-	}
-	return names
-}

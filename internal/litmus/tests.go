@@ -1,10 +1,6 @@
 package litmus
 
-import (
-	"fmt"
-
-	"github.com/weakgpu/gpulitmus/internal/ptx"
-)
+import "fmt"
 
 // Fence selects the fence instruction inserted at a test's fence slots.
 type Fence string
@@ -27,20 +23,6 @@ func (f Fence) Name() string {
 		return "no-op"
 	}
 	return string(f)
-}
-
-// Scope returns the PTX scope of the fence (ScopeNone for NoFence).
-func (f Fence) Scope() ptx.Scope {
-	switch f {
-	case FenceCTA:
-		return ptx.ScopeCTA
-	case FenceGL:
-		return ptx.ScopeGL
-	case FenceSys:
-		return ptx.ScopeSys
-	default:
-		return ptx.ScopeNone
-	}
 }
 
 // CoRR is the read-read coherence test of Fig. 1: one thread stores 1 to x;
@@ -316,10 +298,6 @@ func LB(f Fence) *Test {
 		Exists("0:r1=1 /\\ 1:r2=1").
 		MustBuild()
 }
-
-// MPMembarGL is mp with .cg operators and membar.gl fences — the paper's
-// experimental fix for mp-L1 on Fermi (Sec. 3.1.2, test mp+membar.gls).
-func MPMembarGL() *Test { return MP(FenceGL) }
 
 // ByName returns the paper test with the given name (as printed by each
 // test's header), e.g. "coRR", "mp-L1+membar.gls" or "cas-sl".

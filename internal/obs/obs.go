@@ -269,12 +269,6 @@ func FromContext(ctx context.Context) *Trace {
 	return tr
 }
 
-// SpanFromContext returns the innermost span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(spanKey{}).(*Span)
-	return sp
-}
-
 // Snapshot is a point-in-time copy of a trace's timers and counters,
 // safe to read after the request keeps mutating (or finishes).
 type Snapshot struct {

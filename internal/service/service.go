@@ -142,14 +142,17 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Peers) > 0 && cfg.Self == "" {
 		return nil, fmt.Errorf("service: peers configured without self address")
 	}
+	models := make(map[string]*core.Model)
+	for _, name := range []string{"ptx", "sc", "rmo", "op"} {
+		m, err := core.ModelByName(name)
+		if err != nil {
+			return nil, err
+		}
+		models[name] = m
+	}
 	s := &Server{
-		cfg: cfg,
-		models: map[string]*core.Model{
-			"ptx": core.PTX(),
-			"sc":  core.SC(),
-			"rmo": core.RMO(),
-			"op":  core.SorensenOp(),
-		},
+		cfg:          cfg,
+		models:       models,
 		cache:        newCache(cfg.CacheSize),
 		start:        time.Now(),
 		logger:       cfg.Logger,
@@ -380,18 +383,28 @@ func (s *Server) logf(format string, args ...any) {
 	s.logger.Printf(format, args...)
 }
 
-// decode parses a JSON request body strictly (unknown fields are errors:
-// they are invariably a misspelled parameter the caller thinks is applied).
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decode parses a JSON request body of at most maxObjectBytes strictly
+// (unknown fields are errors: they are invariably a misspelled parameter
+// the caller thinks is applied). On failure it answers 413 for an
+// oversized body, 400 otherwise, and reports false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxObjectBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, status, err)
+	return false
 }
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	var req ParseRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	t, err := litmus.Parse(req.Source)
@@ -520,8 +533,7 @@ func (s *Server) judgeOne(ctx context.Context, m *core.Model, t *litmus.Test, pa
 
 func (s *Server) handleJudge(w http.ResponseWriter, r *http.Request) {
 	var req JudgeRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	m, err := s.model(req.Model)
@@ -651,8 +663,7 @@ func (s *Server) repairOne(ctx context.Context, m *core.Model, t *litmus.Test, p
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	var req RepairRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	m, err := s.model(req.Model)
@@ -706,8 +717,7 @@ func (s *Server) runOne(ctx context.Context, t *litmus.Test, cfg harness.Config)
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	tr, ctx := s.startTrace(w, r)
@@ -774,8 +784,7 @@ type sweepCell struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	tr, ctx := s.startTrace(w, r)

@@ -811,6 +811,29 @@ func TestSweepUnresolvableTest422(t *testing.T) {
 	}
 }
 
+// TestOversizedBody413: a JSON request body over maxObjectBytes is refused
+// with 413 before it is buffered whole, and the daemon keeps serving.
+func TestOversizedBody413(t *testing.T) {
+	_, client := newTestService(t, Config{})
+	prefix := `{"source":"`
+	body := prefix + strings.Repeat("a", maxObjectBytes+1-len(prefix))
+	resp, err := http.Post(srvURL(t, client)+"/v1/judge", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	res, err := client.Judge(context.Background(), JudgeRequest{TestRef: TestRef{Test: "coRR"}})
+	if err != nil {
+		t.Fatalf("next request after a 413: %v", err)
+	}
+	if !strings.HasPrefix(res.Verdict, "Test coRR: ") {
+		t.Errorf("next request answered %q", res.Verdict)
+	}
+}
+
 // TestCachePanicDoesNotPoisonKey: a panicking computation unblocks waiters
 // and leaves the key retryable.
 func TestCachePanicDoesNotPoisonKey(t *testing.T) {
