@@ -250,6 +250,8 @@ func Run(spec Spec) (*Aggregate, error) {
 		Outcomes: make([]*harness.Outcome, len(jobs)),
 	}
 	errs := make([]error, len(jobs))
+	// deliver never fails and the context is never cancelled, so execute
+	// runs every job and cannot fail itself; job errors land in errs.
 	_ = spec.execute(context.Background(), jobs, func(r Result) error {
 		agg.Outcomes[r.Job.Index], errs[r.Job.Index] = r.Outcome, r.Err
 		return nil
@@ -281,6 +283,7 @@ func StreamCtx(ctx context.Context, spec Spec) <-chan Result {
 			}
 			return
 		}
+		// execute fails only once ctx is cancelled, which ends the stream.
 		_ = spec.execute(ctx, jobs, func(r Result) error {
 			select {
 			case ch <- r:
