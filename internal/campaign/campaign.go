@@ -1,8 +1,9 @@
 // Package campaign is the concurrent sweep engine behind every cross-test
 // experiment: it expands a declarative matrix spec — tests × chips ×
 // incantations × run budget — into jobs, executes them on a bounded
-// work-stealing worker pool, and aggregates the outcomes in matrix order. Per-job seeds are derived deterministically from the base seed, so
-// a campaign's aggregated results are byte-identical regardless of worker
+// work-stealing worker pool, and aggregates the outcomes in matrix order.
+// Per-job seeds are derived deterministically from the base seed, so a
+// campaign's aggregated results are byte-identical regardless of worker
 // count or completion order. The paper's result tables (Figs. 3-4, Table 6,
 // the Sec. 5.4 validation) are all sweeps of this shape; package
 // experiments builds them on this engine.
