@@ -6,11 +6,10 @@
 // one whose name is also used elsewhere. Methods are out of scope, since a
 // name scan cannot see that a method satisfies an interface.
 //
-// Usage: go run ./ci/unused [root]
+// Usage, from the module root: go run ./ci/unused
 //
-// root defaults to "."; directories named testdata, or starting with "."
-// or "_", are skipped as the go tool skips them. Exit status 1 means
-// findings.
+// Directories named testdata, or starting with "." or "_", are skipped as
+// the go tool skips them. Exit status 1 means findings.
 package main
 
 import (
@@ -26,11 +25,7 @@ import (
 )
 
 func main() {
-	root := "."
-	if len(os.Args) > 1 {
-		root = os.Args[1]
-	}
-	findings, err := check(root)
+	findings, err := check(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "unused:", err)
 		os.Exit(2)

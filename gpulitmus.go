@@ -236,7 +236,7 @@ func ResolveTest(ctx context.Context, arg string) (*Test, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%q is neither a known test nor a readable file: %w", arg, err)
 	}
-	return litmus.ParseCtx(ctx, string(src))
+	return ParseTestCtx(ctx, string(src))
 }
 
 // RunConfig parameterises a harness run.

@@ -114,13 +114,12 @@ func jobSeed(base int64, index int) int64 {
 }
 
 // expand materialises the spec's job list in matrix order.
-func (s *Spec) expand() ([]Job, []*litmus.Test, []chip.Incant, error) {
+func (s *Spec) expand() ([]Job, []chip.Incant, error) {
 	if len(s.Chips) == 0 {
-		return nil, nil, nil, fmt.Errorf("campaign: no chips in spec")
+		return nil, nil, fmt.Errorf("campaign: no chips in spec")
 	}
-	tests := s.Tests
-	if len(tests) == 0 {
-		return nil, nil, nil, fmt.Errorf("campaign: no tests in spec")
+	if len(s.Tests) == 0 {
+		return nil, nil, fmt.Errorf("campaign: no tests in spec")
 	}
 	incants := s.Incants
 	if len(incants) == 0 {
@@ -131,8 +130,8 @@ func (s *Spec) expand() ([]Job, []*litmus.Test, []chip.Incant, error) {
 		runs = harness.DefaultRuns
 	}
 
-	jobs := make([]Job, 0, len(tests)*len(s.Chips)*len(incants))
-	for ti, t := range tests {
+	jobs := make([]Job, 0, len(s.Tests)*len(s.Chips)*len(incants))
+	for ti, t := range s.Tests {
 		for ci, c := range s.Chips {
 			for ii, inc := range incants {
 				if s.IncantFn != nil {
@@ -157,7 +156,7 @@ func (s *Spec) expand() ([]Job, []*litmus.Test, []chip.Incant, error) {
 			}
 		}
 	}
-	return jobs, tests, incants, nil
+	return jobs, incants, nil
 }
 
 // workers resolves the pool size.
@@ -239,12 +238,12 @@ func (s *Spec) execute(ctx context.Context, jobs []Job, deliver func(Result) err
 // of the lowest failing job index, so both the aggregate and the error are
 // deterministic in the spec alone.
 func Run(spec Spec) (*Aggregate, error) {
-	jobs, tests, incants, err := spec.expand()
+	jobs, incants, err := spec.expand()
 	if err != nil {
 		return nil, err
 	}
 	agg := &Aggregate{
-		Tests:    tests,
+		Tests:    spec.Tests,
 		Chips:    spec.Chips,
 		Incants:  incants,
 		Jobs:     jobs,
@@ -276,7 +275,7 @@ func StreamCtx(ctx context.Context, spec Spec) <-chan Result {
 	ch := make(chan Result)
 	go func() {
 		defer close(ch)
-		jobs, _, _, err := spec.expand()
+		jobs, _, err := spec.expand()
 		if err != nil {
 			select {
 			case ch <- Result{Err: err}:
