@@ -15,7 +15,7 @@
 //     StaticVerdict{Forbidden,Allowed,Unknown} for a test under a model
 //     family (Policy). Forbidden and Allowed are only ever reported when
 //     the full rf×co enumeration provably agrees, so callers
-//     (core.JudgeStatic, campaign.Memo, the gpulitmusd service) skip
+//     (core.JudgeWith with Opts.Static, campaign.Memo, gpulitmusd) skip
 //     enumeration entirely on a decided verdict. Unknown is always safe:
 //     it merely means "enumerate".
 //
